@@ -8,6 +8,7 @@ all three patterns.
 """
 
 from repro.cluster import cluster1
+from repro.collectives import Topology, flat_exchange, tree_fan_in_wire
 from repro.engine import BspEngine, TreeAggregateModel
 from repro.metrics import format_table
 
@@ -16,17 +17,21 @@ MODEL_SIZE = 5_000_000
 
 def price_patterns(executors: int):
     rows = {}
+    cluster = cluster1(executors=executors)
     for depth in (1, 2):
-        engine = BspEngine(cluster1(executors=executors),
-                           tree=TreeAggregateModel(depth=depth))
-        total = (engine.tree_aggregate_phase(MODEL_SIZE, 0)
+        tree = TreeAggregateModel(depth=depth)
+        engine = BspEngine(cluster, tree=tree)
+        schedule = tree_fan_in_wire(Topology.of(cluster, tree), MODEL_SIZE)
+        total = (engine.collective_phase(schedule, 0)
                  + engine.broadcast_phase(MODEL_SIZE, 0))
-        timing = TreeAggregateModel(depth=depth).timing(
-            cluster1(executors=executors), MODEL_SIZE)
-        rows[f"tree depth {depth}"] = (total, timing.driver_seconds)
-    star = BspEngine(cluster1(executors=executors))
-    total = (star.reduce_scatter_phase(MODEL_SIZE, 0)
-             + star.all_gather_phase(MODEL_SIZE, 0))
+        driver = schedule.tail_seconds(cluster)
+        rows[f"tree depth {depth}"] = (total, driver)
+    star = BspEngine(cluster)
+    topology = Topology.of(cluster)
+    total = (star.collective_phase(
+        flat_exchange("reduce_scatter", topology, MODEL_SIZE), 0)
+        + star.collective_phase(
+            flat_exchange("all_gather", topology, MODEL_SIZE), 0))
     rows["AllReduce (MLlib*)"] = (total, 0.0)
     return rows
 

@@ -41,7 +41,7 @@ from .data import (SparseDataset, SyntheticSpec, avazu_like, dataset_names,
                    read_libsvm, train_test_split, url_like, write_libsvm,
                    wx_like)
 from .engine import (BroadcastModel, BspEngine, PartitionedDataset,
-                     ShuffleModel, TreeAggregateModel)
+                     TreeAggregateModel)
 from .glm import (BinaryMetrics, GLMModel, HingeLoss, LogisticLoss,
                   Objective, SquaredHingeLoss, SquaredLoss, evaluate_binary,
                   get_loss, get_regularizer, roc_auc)
@@ -71,7 +71,7 @@ __all__ = [
     "BinaryMetrics", "evaluate_binary", "roc_auc",
     # engine & collectives
     "BspEngine", "PartitionedDataset", "TreeAggregateModel",
-    "BroadcastModel", "ShuffleModel", "partition_slices", "reduce_scatter",
+    "BroadcastModel", "partition_slices", "reduce_scatter",
     "all_gather", "all_reduce_average",
     # trainers
     "TrainerConfig", "DistributedTrainer", "TrainResult", "MLlibTrainer",

@@ -14,7 +14,12 @@ Two details matter for reproducing the paper's bottleneck analysis:
 * **Ingress serialization.**  A node receiving messages from many peers
   receives them one after another — the driver's downlink is a single
   shared link.  :meth:`NetworkModel.fan_in_seconds` prices an m-way fan-in
-  as the *sum* of the transfers (plus one latency per message).  This is
+  as the *sum* of the transfers (plus one latency per message): ``k``
+  equal messages cost ``k * transfer_seconds(v)``.  Messages of different
+  sizes (sparse payloads) are priced one by one and summed left to right
+  by the collective schedules (:mod:`repro.collectives.schedule`); that
+  sum can differ from the product in the last bit even when the sizes
+  happen to be equal.  This is
   bottleneck B2: with k executors pushing gradients of size m, the driver
   pays k transfers back to back.
 * **Concurrent pairwise exchange.**  In a shuffle (and therefore in
@@ -96,29 +101,6 @@ class NetworkModel:
         if senders < 0:
             raise ValueError("senders must be non-negative")
         return senders * self.transfer_seconds(values_each)
-
-    def fan_in_varied_seconds(self, values_by_message: tuple[float, ...] | list[float]) -> float:
-        """Cost of a fan-in whose messages differ in size.
-
-        Same serialized-downlink pattern as :meth:`fan_in_seconds`, but
-        each message is priced individually — the shape sparse payloads
-        produce, where every sender ships its own support.  Equal-sized
-        messages reduce to ``fan_in_seconds(len(values), size)`` exactly.
-
-        An *empty* message list is rejected: a fan-in with no senders is
-        a caller bug (a singleton aggregation group or a one-executor
-        shuffle has no ingress and must not price one), and silently
-        returning 0.0 used to mask exactly that confusion.
-        """
-        if len(values_by_message) == 0:
-            raise ValueError(
-                "fan_in_varied_seconds needs at least one message; a "
-                "fan-in with no senders is not a fan-in — handle the "
-                "zero-sender case at the call site")
-        total = 0.0
-        for values in values_by_message:
-            total += self.transfer_seconds(values)
-        return total
 
     def fan_out_seconds(self, receivers: int, values_each: float) -> float:
         """Cost of ONE node pushing a message to ``receivers`` nodes.

@@ -7,18 +7,23 @@ combine kernels in :mod:`.allreduce`), so every mode is bit-identical:
   optionally with the SparCML sparse wire format (:mod:`.sparse`).
 * ``hier`` — two-tier, placement-aware aggregation (:mod:`.hierarchical`).
 * ``switch`` — SwitchML-style in-network aggregation (:mod:`.innetwork`).
+
+Each topology lowers its collectives to one
+:class:`~.schedule.Schedule` type (:mod:`.schedule`), which the engine
+prices.
 """
 
 from .allreduce import (all_gather, all_reduce_average, all_reduce_weighted,
                         combine_weight_scale, partition_slices,
                         reduce_scatter, traffic_values)
-from .hierarchical import (HierWire, hier_all_gather, hier_dense_wire,
+from .hierarchical import (hier_all_gather, hier_exchange,
                            hier_reduce_scatter, hier_tree_fan_in)
-from .innetwork import (SwitchWire, switch_all_gather, switch_dense_wire,
-                        switch_reduce_scatter, switch_rounds,
-                        switch_stream_seconds, switch_tree_fan_in)
-from .sparse import (SPARSE_COMM_MODES, CommStats, SparsePayload, TreeWire,
-                     encode, materialize, payload_wire_values,
+from .innetwork import (switch_all_gather, switch_exchange,
+                        switch_reduce_scatter, switch_tree_fan_in)
+from .schedule import (Schedule, Segment, Topology, switch_rounds,
+                       switch_stream_seconds)
+from .sparse import (SPARSE_COMM_MODES, SparsePayload, encode,
+                     flat_exchange, materialize, payload_wire_values,
                      sparse_all_gather, sparse_reduce_scatter,
                      tree_fan_in_wire, wire_values)
 
@@ -27,12 +32,12 @@ COLLECTIVES = ("flat", "hier", "switch")
 __all__ = ["partition_slices", "combine_weight_scale", "reduce_scatter",
            "all_gather", "all_reduce_average", "all_reduce_weighted",
            "traffic_values", "SPARSE_COMM_MODES", "SparsePayload",
-           "CommStats", "TreeWire", "encode", "materialize",
-           "payload_wire_values", "wire_values", "sparse_reduce_scatter",
-           "sparse_all_gather", "tree_fan_in_wire",
-           "COLLECTIVES",
-           "HierWire", "hier_reduce_scatter", "hier_all_gather",
-           "hier_tree_fan_in", "hier_dense_wire",
-           "SwitchWire", "switch_rounds", "switch_stream_seconds",
-           "switch_reduce_scatter", "switch_all_gather",
-           "switch_tree_fan_in", "switch_dense_wire"]
+           "encode", "materialize", "payload_wire_values", "wire_values",
+           "sparse_reduce_scatter", "sparse_all_gather", "flat_exchange",
+           "tree_fan_in_wire", "COLLECTIVES",
+           "Schedule", "Segment", "Topology",
+           "hier_reduce_scatter", "hier_all_gather", "hier_exchange",
+           "hier_tree_fan_in",
+           "switch_rounds", "switch_stream_seconds",
+           "switch_reduce_scatter", "switch_all_gather", "switch_exchange",
+           "switch_tree_fan_in"]

@@ -17,9 +17,9 @@ IV-B2, Algorithm 3).  With ``k`` workers and a size-``m`` model:
 The traffic invariant the paper stresses: each worker sends and receives
 the model **twice** per AllReduce, so total traffic is ``2 k m`` values —
 identical to the driver-centric scheme, but with the latency of a balanced
-all-to-all instead of a serialized fan-in (costs are priced by
-:class:`~repro.engine.shuffle.ShuffleModel` /
-:meth:`~repro.engine.driver.BspEngine.reduce_scatter_phase`).
+all-to-all instead of a serialized fan-in (costs are priced by the
+round's :class:`~repro.collectives.schedule.Schedule` in
+:meth:`~repro.engine.driver.BspEngine.collective_phase`).
 """
 
 from __future__ import annotations

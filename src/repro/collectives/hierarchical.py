@@ -29,7 +29,8 @@ hammers and the topology bench asserts before reporting any speedup.
 With singleton groups (no placement map) the priced schedule degenerates
 to the flat collective: no intra messages, and the cross tier *is* the
 flat exchange — message-for-message, so the priced seconds match the flat
-wire pricing exactly.
+sparse pricing exactly.  Every message is its own run (never a dense
+run), dense or not.
 
 Determinism: groups arrive as ordered tuples from ``executor_groups()``;
 supports come from ``np.flatnonzero`` (ascending); nothing here iterates
@@ -38,37 +39,14 @@ a set (rule DET002 applies to this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .allreduce import all_gather, partition_slices, reduce_scatter
-from .sparse import wire_values
+from .schedule import Schedule, Segment, Topology, runs
+from .sparse import flat_exchange, tree_fan_in_wire, wire_values
 
-__all__ = ["HierWire", "hier_reduce_scatter", "hier_all_gather",
-           "hier_tree_fan_in", "hier_dense_wire"]
-
-
-def _check_groups(groups: tuple[tuple[int, ...], ...], k: int) -> None:
-    """Groups must partition ``range(k)`` with ascending members."""
-    if not groups:
-        raise ValueError("need at least one executor group")
-    seen = [False] * k
-    for group in groups:
-        if not group:
-            raise ValueError("executor groups must be non-empty")
-        if list(group) != sorted(group):
-            raise ValueError("group members must be in ascending order")
-        for e in group:
-            if not 0 <= e < k:
-                raise ValueError(
-                    f"group member {e} is not an executor index in "
-                    f"[0, {k})")
-            if seen[e]:
-                raise ValueError(f"executor {e} appears in two groups")
-            seen[e] = True
-    if not all(seen):
-        raise ValueError("groups must cover every executor exactly once")
+__all__ = ["hier_reduce_scatter", "hier_all_gather", "hier_exchange",
+           "hier_tree_fan_in"]
 
 
 def _slice_counts(indices: np.ndarray, slices: list[slice]) -> list[int]:
@@ -79,152 +57,147 @@ def _slice_counts(indices: np.ndarray, slices: list[slice]) -> list[int]:
             for i in range(len(slices))]
 
 
-@dataclass(frozen=True)
-class HierWire:
-    """Wire accounting of one two-tier collective phase.
+def _union(supports: list[np.ndarray]) -> np.ndarray:
+    return (np.unique(np.concatenate(supports)) if len(supports) > 1
+            else supports[0])
 
-    ``intra_sends[i]`` lists the message sizes executor ``i`` puts on the
-    *intra-node* tier (members' uploads in Reduce-Scatter / the tree
-    fan-in; the leader's fan-out copies in AllGather).  ``cross_sends[i]``
-    lists what it puts on the *cross-node* fabric — non-empty only for
-    group leaders.  ``intra_dense`` / ``cross_dense`` are what the same
-    messages would have moved dense, so per-tier compression is visible.
+
+# ----------------------------------------------------------------------
+# schedule builders (sizing only — the data plane is the flat kernel)
+# ----------------------------------------------------------------------
+def hier_exchange(phase: str, topology: Topology, model_size: int,
+                  mode: str = "off", arrays=None) -> Schedule:
+    """One two-tier collective round (Reduce-Scatter or AllGather).
+
+    Reduce-Scatter: members upload their model to the machine leader
+    over the intra tier; the leader folds the group and runs the flat
+    exchange among the ``n`` leaders over node-level partitions.
+    AllGather: leaders exchange their node-slices, then fan the
+    reassembled model out to their members.  ``arrays`` (the local
+    models / the reassembled model) size the messages unless ``mode``
+    is ``'off'``.  A crashed executor recovers by the flat convention
+    (dense refill from every peer, combine redone).
     """
-
-    phase: str
-    model_size: int
-    groups: tuple[tuple[int, ...], ...]
-    intra_sends: tuple[tuple[float, ...], ...]
-    cross_sends: tuple[tuple[float, ...], ...]
-    intra_dense: float
-    cross_dense: float
-    #: Tree fan-in only: task-wave messages per executor.
-    messages_per_executor: int = 1
-
-    def __post_init__(self) -> None:
-        k = len(self.intra_sends)
-        if len(self.cross_sends) != k:
-            raise ValueError("intra_sends and cross_sends must cover the "
-                             "same executors")
-        _check_groups(self.groups, k)
-        if self.phase not in ("reduce_scatter", "all_gather",
-                              "tree_aggregate"):
-            raise ValueError(f"unknown hierarchical phase {self.phase!r}")
-
-    # ------------------------------------------------------------------
-    @property
-    def num_executors(self) -> int:
-        return len(self.intra_sends)
-
-    @property
-    def leaders(self) -> tuple[int, ...]:
-        """The first (lowest-index) member of each group, in group order."""
-        return tuple(group[0] for group in self.groups)
-
-    @property
-    def intra_values(self) -> float:
-        return float(sum(v for row in self.intra_sends for v in row))
-
-    @property
-    def cross_values(self) -> float:
-        return float(sum(v for row in self.cross_sends for v in row))
-
-    @property
-    def wire_values(self) -> float:
-        return self.intra_values + self.cross_values
-
-    @property
-    def dense_values(self) -> float:
-        return self.intra_dense + self.cross_dense
-
-    @property
-    def compression(self) -> float:
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
-
-
-# ----------------------------------------------------------------------
-# wire builders (sizing only — the data plane is the flat kernel)
-# ----------------------------------------------------------------------
-def _rs_wire(supports: list[np.ndarray], model_size: int,
-             groups: tuple[tuple[int, ...], ...],
-             mode: str) -> HierWire:
-    """Reduce-Scatter sizing: members upload, leaders exchange slices."""
-    k = len(supports)
+    groups = topology.groups
+    k = topology.num_executors
     n = len(groups)
-    slices = partition_slices(model_size, n)
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
+    m = model_size
+    dense = flat_exchange(phase, topology, m)
+    slices = partition_slices(m, n)
+    slice_sizes = [s.stop - s.start for s in slices]
+    sized = arrays is not None and mode != "off"
+    if sized and phase == "all_gather":
+        whole = wire_values(int(np.count_nonzero(arrays)), m, mode)
+    segments: list[tuple[Segment, ...]] = [()] * k
+    intra_dense = cross_dense = 0.0
+    wire = 0.0
     for j, group in enumerate(groups):
-        leader = group[0]
-        # Members ship their full local model to the leader (one message
-        # each, sized by the model's support).
-        for e in group[1:]:
-            intra[e] = (wire_values(int(supports[e].size), model_size,
-                                    mode),)
-            intra_dense += float(model_size)
-        # The leader's per-machine partial is supported on the *union* of
-        # member supports — computed from the inputs, never from the
-        # combined float values, so sizing is immune to cancellation.
-        union = (np.unique(np.concatenate([supports[e] for e in group]))
-                 if len(group) > 1 else supports[leader])
-        counts = _slice_counts(union, slices)
-        row: list[float] = []
-        for i in range(n):
-            if i == j:
-                continue
-            size = slices[i].stop - slices[i].start
-            row.append(wire_values(counts[i], size, mode))
-            cross_dense += float(size)
-        cross[leader] = tuple(row)
-    return HierWire(phase="reduce_scatter", model_size=model_size,
-                    groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross), intra_dense=intra_dense,
-                    cross_dense=cross_dense)
+        leader, members = group[0], group[1:]
+        if phase == "reduce_scatter":
+            # Members ship their full local model to the leader (one
+            # message each, sized by the model's support); the leader's
+            # per-machine partial is supported on the *union* of member
+            # supports — computed from the inputs, never from the
+            # combined float values, so sizing is immune to cancellation.
+            if sized:
+                supports = [np.flatnonzero(arrays[e]) for e in group]
+                ups = [wire_values(int(idx.size), m, mode)
+                       for idx in supports[1:]]
+                counts = _slice_counts(_union(supports), slices)
+                row = [wire_values(counts[i], slice_sizes[i], mode)
+                       for i in range(n) if i != j]
+            else:
+                ups = [float(m)] * len(members)
+                row = [float(slice_sizes[i]) for i in range(n) if i != j]
+            for e, up in zip(members, ups):
+                segments[e] = (Segment("intra", "send", ((up, 1),)),)
+            lead = [Segment("intra", "recv", runs(ups), counted=False)]
+            if members:
+                lead.append(Segment("compute", "aggregate",
+                                    ((len(members) * m, 1),)))
+            lead += [Segment("cross", "send", runs(row)),
+                     Segment("compute", "aggregate", ((m / n * n, 1),))]
+            segments[leader] = tuple(lead)
+            cross_dense += float(m - slice_sizes[j])
+        else:
+            if sized:
+                nnz = int(np.count_nonzero(arrays[slices[j]]))
+                piece = wire_values(nnz, slice_sizes[j], mode)
+            else:
+                piece, whole = float(slice_sizes[j]), float(m)
+            ups = [whole] * len(members)
+            row = [piece] * (n - 1)
+            # The leader fans the reassembled model out to its members
+            # over the intra tier (one full-model message per member).
+            segments[leader] = (Segment("cross", "send", runs(row)),
+                                Segment("intra", "send", runs(ups)))
+            cross_dense += float(slice_sizes[j]) * (n - 1)
+        intra_dense += float(m) * len(members)
+        wire += float(sum(ups)) + float(sum(row))
+    return Schedule(phase, tuple(segments), intra_dense + cross_dense, wire,
+                    retry=dense.retry, dense=dense)
 
 
-def _ag_wire(full: np.ndarray, groups: tuple[tuple[int, ...], ...],
-             mode: str) -> HierWire:
-    """AllGather sizing: leaders exchange slices, then fan out locally."""
-    model_size = int(full.shape[0])
-    k = sum(len(group) for group in groups)
-    n = len(groups)
-    slices = partition_slices(model_size, n)
-    nnz_full = int(np.count_nonzero(full))
-    full_msg = wire_values(nnz_full, model_size, mode)
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
-    for i, group in enumerate(groups):
+def hier_tree_fan_in(topology: Topology, model_size: int, mode: str = "off",
+                     vectors=None, messages_per_executor: int = 1,
+                     ) -> Schedule:
+    """Two-tier treeAggregate for the SendGradient/SendModel path.
+
+    Machine leaders replace MLlib's ``sqrt(k)`` round-robin aggregators:
+    members ship their task vectors to their machine's leader over the
+    intra tier; each leader ships one partial (union support of its
+    group's vectors) to the driver over the fabric.  Arithmetic is
+    untouched — the trainer still combines the same vectors the same way.
+    """
+    groups = topology.groups
+    k = topology.num_executors
+    m = model_size
+    mpe = messages_per_executor if vectors is None else len(vectors[0])
+    if mpe < 1 or (vectors is not None
+                   and any(len(row) != mpe for row in vectors)):
+        raise ValueError("every executor must ship the same number of "
+                         "task vectors")
+    sized = vectors is not None and mode != "off"
+    segments: list[tuple[Segment, ...]] = [()] * k
+    partials: list[float] = []
+    wire = 0.0
+    for group in groups:
         leader = group[0]
-        size = slices[i].stop - slices[i].start
-        nnz = int(np.count_nonzero(full[slices[i]]))
-        cross[leader] = tuple(wire_values(nnz, size, mode)
-                              for _ in range(n - 1))
-        cross_dense += float(size) * (n - 1)
-        # The leader fans the reassembled model to its members over the
-        # intra tier (one full-model message per member).
-        intra[leader] = tuple(full_msg for _ in range(len(group) - 1))
-        intra_dense += float(model_size) * (len(group) - 1)
-    return HierWire(phase="all_gather", model_size=model_size,
-                    groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross), intra_dense=intra_dense,
-                    cross_dense=cross_dense)
+        if sized:
+            supports = [np.flatnonzero(v) for e in group for v in vectors[e]]
+            leaf = [wire_values(int(idx.size), m, mode)
+                    for idx in supports[mpe:]]
+            partials.append(wire_values(int(_union(supports).size), m,
+                                        mode))
+        else:
+            leaf = [float(m)] * (mpe * (len(group) - 1))
+            partials.append(float(m))
+        for pos, e in enumerate(group[1:]):
+            segments[e] = (Segment("intra", "send",
+                                   runs(leaf[pos * mpe:(pos + 1) * mpe])),)
+        segments[leader] = (
+            Segment("intra", "aggregate", runs(leaf), counted=False),
+            Segment("compute", "aggregate", ((len(group) * mpe * m, 1),)))
+        wire += float(sum(leaf))
+    # Level 2: the driver receives one partial per machine.
+    tail = (Segment("cross", "aggregate", runs(partials)),
+            Segment("compute", "aggregate", ((len(groups) * m, 1),)))
+    return Schedule("tree_aggregate", tuple(segments),
+                    float(m) * (mpe * (k - len(groups)) + len(groups)),
+                    wire + float(sum(partials)),
+                    level1=tuple(group[0] for group in groups), tail=tail,
+                    dense=tree_fan_in_wire(topology, m,
+                                           messages_per_executor=mpe))
 
 
 # ----------------------------------------------------------------------
-# data plane + wire, in one call (what the trainers use)
+# data plane + schedule, in one call (what the trainers use)
 # ----------------------------------------------------------------------
-def hier_reduce_scatter(models: list[np.ndarray],
-                        groups: tuple[tuple[int, ...], ...],
+def hier_reduce_scatter(models: list[np.ndarray], topology: Topology,
                         combine: str = "average",
                         weights: list[float] | None = None,
                         mode: str = "off",
-                        ) -> tuple[list[np.ndarray], HierWire]:
+                        ) -> tuple[list[np.ndarray], Schedule]:
     """Two-tier Reduce-Scatter: flat arithmetic, hierarchical pricing.
 
     The returned partitions come from the *flat*
@@ -233,114 +206,17 @@ def hier_reduce_scatter(models: list[np.ndarray],
     prices the two-tier schedule (``mode`` applies the SparCML break-even
     per message on both tiers).
     """
-    _check_groups(groups, len(models))
     partitions = reduce_scatter(models, combine=combine, weights=weights)
-    supports = [np.flatnonzero(model) for model in models]
-    wire = _rs_wire(supports, int(models[0].shape[0]), groups, mode)
-    return partitions, wire
+    return partitions, hier_exchange("reduce_scatter", topology,
+                                     int(models[0].shape[0]), mode, models)
 
 
-def hier_all_gather(partitions: list[np.ndarray], model_size: int,
-                    groups: tuple[tuple[int, ...], ...],
-                    mode: str = "off", check_replicas: bool = False,
-                    ) -> tuple[np.ndarray, HierWire]:
+def hier_all_gather(partitions: list[np.ndarray], topology: Topology,
+                    model_size: int, mode: str = "off",
+                    check_replicas: bool = False,
+                    ) -> tuple[np.ndarray, Schedule]:
     """Two-tier AllGather: flat arithmetic, hierarchical pricing."""
-    _check_groups(groups, len(partitions))
     full = all_gather(partitions, model_size,
                       check_replicas=check_replicas)
-    return full, _ag_wire(full, groups, mode)
-
-
-def hier_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
-                     groups: tuple[tuple[int, ...], ...],
-                     model_size: int, mode: str = "off") -> HierWire:
-    """Two-tier treeAggregate sizing for the SendGradient/SendModel path.
-
-    Machine leaders replace MLlib's ``sqrt(k)`` round-robin aggregators:
-    members ship their task vectors to their machine's leader over the
-    intra tier; each leader ships one partial (union support of its
-    group's vectors) to the driver over the fabric.  Arithmetic is
-    untouched — the trainer still combines the same vectors the same way.
-    """
-    k = len(vectors_by_executor)
-    _check_groups(groups, k)
-    if k == 0:
-        raise ValueError("need at least one executor")
-    mpe = len(vectors_by_executor[0])
-    if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
-        raise ValueError("every executor must ship the same number of "
-                         "task vectors")
-    supports = [[np.flatnonzero(v) for v in vectors]
-                for vectors in vectors_by_executor]
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
-    for group in groups:
-        leader = group[0]
-        for e in group[1:]:
-            intra[e] = tuple(wire_values(int(idx.size), model_size, mode)
-                             for idx in supports[e])
-            intra_dense += float(model_size) * mpe
-        member_supports = [idx for e in group for idx in supports[e]]
-        union = np.unique(np.concatenate(member_supports))
-        cross[leader] = (wire_values(int(union.size), model_size, mode),)
-        cross_dense += float(model_size)
-    return HierWire(phase="tree_aggregate", model_size=model_size,
-                    groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross), intra_dense=intra_dense,
-                    cross_dense=cross_dense, messages_per_executor=mpe)
-
-
-def hier_dense_wire(phase: str, model_size: int,
-                    groups: tuple[tuple[int, ...], ...],
-                    messages_per_executor: int = 1) -> HierWire:
-    """Dense-sized two-tier wire, for trainers that ship dense vectors.
-
-    The spark.ml L-BFGS gradients are dense, so there is nothing to size
-    from supports; this builds the same schedule with every message at
-    its dense size (equivalently, any of the builders above under
-    ``mode='off'`` — without needing the vectors).
-    """
-    k = sum(len(group) for group in groups)
-    _check_groups(groups, k)
-    mpe = messages_per_executor
-    if mpe < 1:
-        raise ValueError("messages_per_executor must be at least 1")
-    n = len(groups)
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
-    if phase == "tree_aggregate":
-        for group in groups:
-            for e in group[1:]:
-                intra[e] = tuple(float(model_size) for _ in range(mpe))
-                intra_dense += float(model_size) * mpe
-            cross[group[0]] = (float(model_size),)
-            cross_dense += float(model_size)
-    elif phase in ("reduce_scatter", "all_gather"):
-        slices = partition_slices(model_size, n)
-        for j, group in enumerate(groups):
-            leader = group[0]
-            members = len(group) - 1
-            own = float(slices[j].stop - slices[j].start)
-            if phase == "reduce_scatter":
-                for e in group[1:]:
-                    intra[e] = (float(model_size),)
-                cross[leader] = tuple(
-                    float(slices[i].stop - slices[i].start)
-                    for i in range(n) if i != j)
-                cross_dense += float(model_size) - own
-            else:
-                cross[leader] = tuple(own for _ in range(n - 1))
-                intra[leader] = tuple(float(model_size)
-                                      for _ in range(members))
-                cross_dense += own * (n - 1)
-            intra_dense += float(model_size) * members
-    else:
-        raise ValueError(f"unknown hierarchical phase {phase!r}")
-    return HierWire(phase=phase, model_size=model_size, groups=groups,
-                    intra_sends=tuple(intra), cross_sends=tuple(cross),
-                    intra_dense=intra_dense, cross_dense=cross_dense,
-                    messages_per_executor=mpe)
+    return full, hier_exchange("all_gather", topology, model_size, mode,
+                               full)

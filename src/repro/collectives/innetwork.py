@@ -15,7 +15,8 @@ multicasts completed results down.  Two properties shape the cost model:
 * **Bounded slot pool.**  The switch holds ``pool_slots`` in-flight
   chunks of ``chunk_values`` values.  A vector needing more chunks than
   slots streams in multiple rounds, *stalling* at each pool drain — an
-  extra alpha per round (:func:`switch_stream_seconds`).  Slot exhaustion
+  extra alpha per round (:func:`~.schedule.switch_stream_seconds`, the
+  ``switch`` tier of the one schedule pricing function).  Slot exhaustion
   stretches simulated seconds only; it never touches the numerics (the
   invariant ``tests/test_topology_collectives.py`` pins).
 
@@ -24,9 +25,9 @@ aggregate index/value payloads.  When the sparse wire format is enabled
 and strictly cheaper for the phase (the SparCML break-even: sparse wire
 volume ``< `` dense volume, ties stay dense — and therefore stay on the
 switch), the collective deterministically *falls back to host
-aggregation* and prices exactly as the PR 4 sparse path; ``mode='on'``
-always falls back (the user forced a wire format the switch cannot
-carry).  The fallback decision changes pricing only — the returned
+aggregation*: the builder returns the flat sparse schedule itself;
+``mode='on'`` always falls back (the user forced a wire format the
+switch cannot carry).  The fallback decision changes pricing only — the returned
 arrays are bit-identical either way, because every path runs the same
 flat combine kernels.
 
@@ -36,126 +37,17 @@ anywhere (rule DET002 applies to this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..cluster.network import NetworkModel
 from .allreduce import all_gather, reduce_scatter
-from .sparse import (CommStats, TreeWire, sparse_all_gather,
-                     sparse_reduce_scatter, tree_fan_in_wire)
+from .schedule import Schedule, Segment, Topology
+from .sparse import flat_exchange, tree_fan_in_wire
 
-__all__ = ["SwitchWire", "switch_stream_seconds", "switch_rounds",
-           "switch_reduce_scatter", "switch_all_gather",
-           "switch_tree_fan_in", "switch_dense_wire"]
-
-
-def switch_rounds(values: float, chunk_values: int, pool_slots: int) -> int:
-    """Slot rounds needed to stream ``values`` through the switch pool.
-
-    ``ceil(ceil(values / chunk) / slots)``: the vector is cut into
-    chunks, and at most ``pool_slots`` chunks are in flight per round.
-    Zero values need zero rounds.
-    """
-    if chunk_values < 1:
-        raise ValueError("chunk_values must be at least 1")
-    if pool_slots < 1:
-        raise ValueError("pool_slots must be at least 1")
-    if values < 0:
-        raise ValueError("cannot stream a negative number of values")
-    if values == 0:
-        return 0
-    chunks = -(-int(values) // chunk_values)
-    return -(-chunks // pool_slots)
+__all__ = ["switch_reduce_scatter", "switch_all_gather", "switch_exchange",
+           "switch_tree_fan_in"]
 
 
-def switch_stream_seconds(net: NetworkModel, values: float,
-                          chunk_values: int, pool_slots: int) -> float:
-    """Cost of one endpoint streaming ``values`` through the switch.
-
-    Line-rate bandwidth plus one latency per slot round: the first alpha
-    covers the stream setup, and every pool drain beyond it stalls the
-    stream for one more alpha.  With a pool large enough for the whole
-    vector this is exactly ``transfer_seconds(values)``.
-    """
-    rounds = switch_rounds(values, chunk_values, pool_slots)
-    if rounds == 0:
-        return 0.0
-    return (rounds * net.alpha
-            + values * net.bytes_per_value / net.bandwidth)
-
-
-@dataclass(frozen=True)
-class SwitchWire:
-    """Wire accounting of one in-network collective phase.
-
-    ``values_per_link`` is what each of the ``num_senders`` endpoints
-    streams on its own link (up in Reduce-Scatter / the tree fan-in,
-    down in AllGather) — always dense: the switch carries raw vectors.
-    When ``fallback`` is set the switch was bypassed for this phase; the
-    engine prices the wrapped host-aggregation stats instead and the
-    slot pool never enters the picture.
-    """
-
-    phase: str
-    model_size: int
-    num_senders: int
-    pool_slots: int
-    chunk_values: int
-    values_per_link: float
-    #: Tree fan-in only: task-wave messages per executor.
-    messages_per_executor: int = 1
-    #: Host-aggregation pricing when the sparse break-even bypassed the
-    #: switch (a :class:`CommStats` for RS/AG, a :class:`TreeWire` for
-    #: the tree fan-in); ``None`` means the switch carried the phase.
-    fallback: "CommStats | TreeWire | None" = None
-
-    def __post_init__(self) -> None:
-        if self.phase not in ("reduce_scatter", "all_gather",
-                              "tree_aggregate"):
-            raise ValueError(f"unknown switch phase {self.phase!r}")
-        if self.num_senders < 1:
-            raise ValueError("need at least one sender")
-        if self.values_per_link < 0:
-            raise ValueError("values_per_link must be non-negative")
-        # Validate the pool geometry eagerly.
-        switch_rounds(self.values_per_link, self.chunk_values,
-                      self.pool_slots)
-
-    # ------------------------------------------------------------------
-    @property
-    def rounds(self) -> int:
-        """Slot rounds per endpoint stream."""
-        return switch_rounds(self.values_per_link, self.chunk_values,
-                             self.pool_slots)
-
-    @property
-    def wire_values(self) -> float:
-        if self.fallback is not None:
-            return self.fallback.wire_values
-        total = self.num_senders * self.values_per_link
-        if self.phase == "tree_aggregate":
-            total += float(self.model_size)  # switch -> driver result
-        return total
-
-    @property
-    def dense_values(self) -> float:
-        if self.fallback is not None:
-            return self.fallback.dense_values
-        total = self.num_senders * self.values_per_link
-        if self.phase == "tree_aggregate":
-            total += float(self.model_size)
-        return total
-
-    @property
-    def compression(self) -> float:
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
-
-
-def _fallback_to_host(mode: str, wire_total: float,
-                      dense_total: float) -> bool:
+def _fallback_to_host(mode: str, host: Schedule) -> bool:
     """The deterministic sparse bypass rule (the tested contract).
 
     ``mode='off'`` never leaves the switch.  ``mode='on'`` always does
@@ -168,18 +60,79 @@ def _fallback_to_host(mode: str, wire_total: float,
         return False
     if mode == "on":
         return True
-    return wire_total < dense_total
+    return host.wire_values < host.dense_values
+
+
+def _streams(topology: Topology, kind: str, values: float,
+             ) -> tuple[tuple[Segment, ...], ...]:
+    """Every executor streams ``values`` on its own link at line rate."""
+    return ((Segment("switch", kind, ((values, 1),)),),
+            ) * topology.num_executors
 
 
 # ----------------------------------------------------------------------
-# data plane + wire, in one call (what the trainers use)
+# schedule builders
 # ----------------------------------------------------------------------
-def switch_reduce_scatter(models: list[np.ndarray],
+def switch_exchange(phase: str, topology: Topology, model_size: int,
+                    mode: str = "off", arrays=None) -> Schedule:
+    """One in-network collective round: all links stream at line rate
+    through the switch, which folds chunks in its slot pool.
+
+    Reduce-Scatter streams every full model up, AllGather multicasts
+    the result down.  Combine compute is absorbed by the switch (that
+    is the point of in-network aggregation), and a crashed executor
+    re-streams.  With ``arrays`` to size and ``mode`` not ``'off'``, a
+    phase the host sparse wire carries more cheaply returns the flat
+    sparse schedule instead.
+    """
+    if mode != "off" and arrays is not None:
+        host = flat_exchange(phase, topology, model_size, mode, arrays)
+        if _fallback_to_host(mode, host):
+            return host
+    kind = "send" if phase == "reduce_scatter" else "recv"
+    total = float(topology.num_executors * model_size)
+    return Schedule(phase, _streams(topology, kind, float(model_size)),
+                    total, total,
+                    dense=flat_exchange(phase, topology, model_size),
+                    pool_slots=topology.pool_slots,
+                    chunk_values=topology.chunk_values)
+
+
+def switch_tree_fan_in(topology: Topology, model_size: int,
+                       mode: str = "off", vectors=None,
+                       messages_per_executor: int = 1) -> Schedule:
+    """In-network treeAggregate for SendGradient/SendModel.
+
+    All task vectors stream through the switch (replacing both
+    aggregation levels); the driver receives one aggregated vector.
+    The host fallback is MLlib's sparse treeAggregate.
+    """
+    mpe = messages_per_executor if vectors is None else len(vectors[0])
+    if mode != "off" and vectors is not None:
+        host = tree_fan_in_wire(topology, model_size, mode, vectors)
+        if _fallback_to_host(mode, host):
+            return host
+    link = float(model_size) * mpe
+    total = topology.num_executors * link + float(model_size)
+    tail = (Segment("cross", "aggregate", ((model_size, 1),)),
+            Segment("compute", "aggregate", ((model_size, 1),)))
+    return Schedule("tree_aggregate", _streams(topology, "send", link),
+                    total, total,
+                    level1=tuple(range(topology.num_executors)), tail=tail,
+                    dense=tree_fan_in_wire(topology, model_size,
+                                           messages_per_executor=mpe),
+                    pool_slots=topology.pool_slots,
+                    chunk_values=topology.chunk_values)
+
+
+# ----------------------------------------------------------------------
+# data plane + schedule, in one call (what the trainers use)
+# ----------------------------------------------------------------------
+def switch_reduce_scatter(models: list[np.ndarray], topology: Topology,
                           combine: str = "average",
                           weights: list[float] | None = None,
-                          mode: str = "off", pool_slots: int = 512,
-                          chunk_values: int = 256,
-                          ) -> tuple[list[np.ndarray], SwitchWire]:
+                          mode: str = "off",
+                          ) -> tuple[list[np.ndarray], Schedule]:
     """In-network Reduce-Scatter: flat arithmetic, switch pricing.
 
     Every executor streams its full model up; the switch folds the ``k``
@@ -187,91 +140,22 @@ def switch_reduce_scatter(models: list[np.ndarray],
     :func:`~repro.collectives.reduce_scatter` kernel — bit-identical to
     every other collective, fallback or not.
     """
-    k = len(models)
-    if k == 0:
-        raise ValueError("need at least one model")
-    m = int(models[0].shape[0])
-    fallback: CommStats | None = None
-    if mode != "off":
-        partitions, stats = sparse_reduce_scatter(
-            models, combine=combine, weights=weights, mode=mode)
-        if _fallback_to_host(mode, stats.wire_values, stats.dense_values):
-            fallback = stats
-    if fallback is None:
-        partitions = reduce_scatter(models, combine=combine,
-                                    weights=weights)
-    return partitions, SwitchWire(
-        phase="reduce_scatter", model_size=m, num_senders=k,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(m), fallback=fallback)
+    partitions = reduce_scatter(models, combine=combine, weights=weights)
+    return partitions, switch_exchange("reduce_scatter", topology,
+                                       int(models[0].shape[0]), mode,
+                                       models)
 
 
-def switch_all_gather(partitions: list[np.ndarray], model_size: int,
-                      mode: str = "off", pool_slots: int = 512,
-                      chunk_values: int = 256,
+def switch_all_gather(partitions: list[np.ndarray], topology: Topology,
+                      model_size: int, mode: str = "off",
                       check_replicas: bool = False,
-                      ) -> tuple[np.ndarray, SwitchWire]:
+                      ) -> tuple[np.ndarray, Schedule]:
     """In-network AllGather: the switch multicasts the result down.
 
     Each executor receives the full reassembled model on its own link at
     line rate (the downstream half of the SwitchML AllReduce).
     """
-    k = len(partitions)
-    if k == 0:
-        raise ValueError("need at least one partition")
-    fallback: CommStats | None = None
-    if mode != "off":
-        full, stats = sparse_all_gather(partitions, model_size, mode=mode,
-                                        check_replicas=check_replicas)
-        if _fallback_to_host(mode, stats.wire_values, stats.dense_values):
-            fallback = stats
-    if fallback is None:
-        full = all_gather(partitions, model_size,
-                          check_replicas=check_replicas)
-    return full, SwitchWire(
-        phase="all_gather", model_size=model_size, num_senders=k,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(model_size), fallback=fallback)
-
-
-def switch_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
-                       plan: dict[int, int], model_size: int,
-                       mode: str = "off", pool_slots: int = 512,
-                       chunk_values: int = 256) -> SwitchWire:
-    """In-network treeAggregate sizing for SendGradient/SendModel.
-
-    All task vectors stream through the switch (replacing both
-    aggregation levels); the driver receives one aggregated vector.
-    ``plan`` is only consulted for the host-fallback pricing, which
-    reproduces the PR 4 sparse treeAggregate exactly.
-    """
-    k = len(vectors_by_executor)
-    if k == 0:
-        raise ValueError("need at least one executor")
-    mpe = len(vectors_by_executor[0])
-    if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
-        raise ValueError("every executor must ship the same number of "
-                         "task vectors")
-    fallback: TreeWire | None = None
-    if mode != "off":
-        tree = tree_fan_in_wire(vectors_by_executor, plan, model_size,
-                                mode)
-        if _fallback_to_host(mode, tree.wire_values, tree.dense_values):
-            fallback = tree
-    return SwitchWire(
-        phase="tree_aggregate", model_size=model_size, num_senders=k,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(model_size) * mpe,
-        messages_per_executor=mpe, fallback=fallback)
-
-
-def switch_dense_wire(phase: str, model_size: int, num_senders: int,
-                      pool_slots: int = 512, chunk_values: int = 256,
-                      messages_per_executor: int = 1) -> SwitchWire:
-    """Dense-sized switch wire for trainers that ship dense vectors."""
-    return SwitchWire(
-        phase=phase, model_size=model_size, num_senders=num_senders,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(model_size) * (
-            messages_per_executor if phase == "tree_aggregate" else 1),
-        messages_per_executor=messages_per_executor)
+    full = all_gather(partitions, model_size,
+                      check_replicas=check_replicas)
+    return full, switch_exchange("all_gather", topology, model_size, mode,
+                                 full)

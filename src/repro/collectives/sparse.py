@@ -22,10 +22,14 @@ This module adds that layer:
   variants of the shuffle collectives.  Payloads are materialized before
   combining, so the arithmetic (and therefore every iterate) is
   **bit-identical** to the dense path; only the priced wire volume
-  changes.  Each returns a :class:`CommStats` for the engine to price.
-* :func:`tree_fan_in_wire` — nnz-aware wire sizes for the SendGradient
-  paradigm's treeAggregate fan-in (leaf messages carry batch-support
-  gradients; aggregator partials carry the union support of their group).
+  changes.  Each also returns the round's flat :class:`Schedule`.
+* The flat topology's schedule builders: :func:`flat_exchange` for a
+  Reduce-Scatter/AllGather round and :func:`tree_fan_in_wire` for the
+  SendGradient paradigm's treeAggregate fan-in (leaf messages carry
+  batch-support gradients; aggregator partials carry the union support
+  of their group).  Under ``mode='off'`` (or without arrays to size)
+  both build the dense schedule, whose equal messages are priced as
+  runs.
 
 Determinism note: coordinate supports are computed with
 ``np.flatnonzero`` (ascending index order) and groups are iterated in
@@ -42,10 +46,11 @@ import numpy as np
 from ..analysis.sanitizer import check_replicas as _check_replicas
 from ..engine.shuffle import exchange
 from .allreduce import combine_weight_scale, partition_slices
+from .schedule import Run, Schedule, Segment, Topology, runs
 
-__all__ = ["SPARSE_COMM_MODES", "SparsePayload", "CommStats", "TreeWire",
-           "encode", "materialize", "payload_wire_values", "wire_values",
-           "sparse_reduce_scatter", "sparse_all_gather", "tree_fan_in_wire"]
+__all__ = ["SPARSE_COMM_MODES", "SparsePayload", "encode", "materialize",
+           "payload_wire_values", "wire_values", "sparse_reduce_scatter",
+           "sparse_all_gather", "flat_exchange", "tree_fan_in_wire"]
 
 #: Valid values of ``TrainerConfig.sparse_comm`` / ``--sparse-comm``.
 SPARSE_COMM_MODES = ("auto", "on", "off")
@@ -153,68 +158,19 @@ def payload_wire_values(payload: "SparsePayload | np.ndarray") -> float:
 
 
 # ----------------------------------------------------------------------
-# wire statistics the engines price
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CommStats:
-    """Wire accounting of one collective phase.
-
-    ``per_sender[r]`` lists the wire sizes (in values) of worker ``r``'s
-    off-node messages in destination order; ``dense_values`` is what the
-    dense exchange would have moved; ``wire_values`` is what actually
-    moved.
-    """
-
-    phase: str
-    dense_values: float
-    wire_values: float
-    per_sender: tuple[tuple[float, ...], ...]
-
-    @property
-    def compression(self) -> float:
-        """Dense-over-wire volume ratio (1.0 for an empty exchange)."""
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
-
-
-@dataclass(frozen=True)
-class TreeWire:
-    """Wire accounting of one treeAggregate fan-in.
-
-    ``leaf_values[i]`` lists executor ``i``'s message sizes (one per task
-    wave); ``partial_values[j]`` is the size of the ``j``-th aggregator's
-    partial (aggregators in ascending executor order).  Totals count only
-    messages that cross the network (an aggregator's own vectors are
-    local, as is every leaf of a depth-1 plan's... no: depth-1 leaves all
-    cross to the driver).
-    """
-
-    leaf_values: tuple[tuple[float, ...], ...]
-    partial_values: tuple[float, ...]
-    dense_values: float
-    wire_values: float
-
-    @property
-    def compression(self) -> float:
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
-
-
-# ----------------------------------------------------------------------
 # sparse shuffle collectives
 # ----------------------------------------------------------------------
-def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
+def sparse_reduce_scatter(models: list[np.ndarray], topology: Topology,
+                          combine: str = "average",
                           weights: list[float] | None = None,
                           mode: str = "auto",
-                          ) -> tuple[list[np.ndarray], CommStats]:
+                          ) -> tuple[list[np.ndarray], Schedule]:
     """Reduce-Scatter with per-message sparse encoding.
 
     Identical semantics to :func:`repro.collectives.reduce_scatter` —
     every payload is materialized before the combine, so owner partitions
     are bit-identical to the dense path under every ``mode``.  The second
-    return value prices the wire.
+    return value is the round's flat schedule.
     """
     _check_mode(mode)
     if combine not in ("average", "sum", "weighted"):
@@ -227,25 +183,12 @@ def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
         raise ValueError("all local models must have the same shape")
     scale = combine_weight_scale(combine, weights, k)
     slices = partition_slices(m, k)
-    sizes = [s.stop - s.start for s in slices]
 
     # Worker r encodes slice i of its local model for owner i; the slice
     # it owns travels locally and pays no wire cost.
     outboxes = [{owner: encode(model[slices[owner]], mode)
                  for owner in range(k)}
                 for model in models]
-    per_sender = tuple(
-        tuple(payload_wire_values(outboxes[src][owner])
-              for owner in range(k) if owner != src)
-        for src in range(k))
-    dense_values = float(sum(sizes[owner]
-                             for src in range(k)
-                             for owner in range(k) if owner != src))
-    stats = CommStats(
-        phase="reduce_scatter", dense_values=dense_values,
-        wire_values=float(sum(v for row in per_sender for v in row)),
-        per_sender=per_sender)
-
     inboxes = exchange(outboxes, k)
     partitions: list[np.ndarray] = []
     for owner, pieces in enumerate(inboxes):
@@ -257,17 +200,20 @@ def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
             if combine == "average":
                 combined = combined / k
         partitions.append(combined)
-    return partitions, stats
+    return partitions, flat_exchange("reduce_scatter", topology, m, mode,
+                                     models)
 
 
-def sparse_all_gather(partitions: list[np.ndarray], model_size: int,
-                      mode: str = "auto", check_replicas: bool = False,
-                      ) -> tuple[np.ndarray, CommStats]:
+def sparse_all_gather(partitions: list[np.ndarray], topology: Topology,
+                      model_size: int, mode: str = "auto",
+                      check_replicas: bool = False,
+                      ) -> tuple[np.ndarray, Schedule]:
     """AllGather with per-message sparse encoding.
 
     The reassembled model is bit-identical to
-    :func:`repro.collectives.all_gather`; the second return value prices
-    the wire (each owner ships its encoded partition to ``k - 1`` peers).
+    :func:`repro.collectives.all_gather`; the second return value is the
+    round's flat schedule (each owner ships its encoded partition to
+    ``k - 1`` peers).
     """
     _check_mode(mode)
     k = len(partitions)
@@ -281,17 +227,6 @@ def sparse_all_gather(partitions: list[np.ndarray], model_size: int,
             f"partition sizes {actual} do not match owner slices {expected}")
 
     encoded = [encode(p, mode) for p in partitions]
-    per_sender = tuple(
-        tuple(payload_wire_values(encoded[owner])
-              for dst in range(k) if dst != owner)
-        for owner in range(k))
-    dense_values = float(sum(expected[owner] * (k - 1)
-                             for owner in range(k)))
-    stats = CommStats(
-        phase="all_gather", dense_values=dense_values,
-        wire_values=float(sum(v for row in per_sender for v in row)),
-        per_sender=per_sender)
-
     outboxes = [{dst: encoded[owner] for dst in range(k)}
                 for owner in range(k)]
     inboxes = exchange(outboxes, k)
@@ -299,58 +234,131 @@ def sparse_all_gather(partitions: list[np.ndarray], model_size: int,
         replicas = [np.concatenate([materialize(p) for p in inbox])
                     for inbox in inboxes]
         _check_replicas(replicas, context="all_gather")
-        return replicas[0], stats
-    full = np.concatenate([materialize(p) for p in inboxes[0]])
-    return full, stats
+        full = replicas[0]
+    else:
+        full = np.concatenate([materialize(p) for p in inboxes[0]])
+    return full, flat_exchange("all_gather", topology, model_size, mode,
+                               full)
 
 
 # ----------------------------------------------------------------------
-# SendGradient fan-in (treeAggregate)
+# flat schedule builders
 # ----------------------------------------------------------------------
-def tree_fan_in_wire(vectors_by_executor: list[list[np.ndarray]],
-                     plan: dict[int, int], model_size: int,
-                     mode: str) -> TreeWire:
-    """nnz-aware wire sizes for one treeAggregate of sparse vectors.
+def flat_exchange(phase: str, topology: Topology, model_size: int,
+                  mode: str = "off", arrays=None) -> Schedule:
+    """One flat shuffle round: every executor sends ``k - 1`` pieces.
 
-    ``vectors_by_executor[i]`` holds executor ``i``'s per-task vectors (a
-    mini-batch gradient's support is the batch's column support, far
-    smaller than ``m``).  ``plan`` is
-    :meth:`repro.engine.TreeAggregateModel.plan`'s group assignment
-    (empty for depth-1 flat aggregation).  An aggregator's partial to the
-    driver carries the union support of its group's vectors.
+    Executor ``r`` ships its non-owned slices (Reduce-Scatter, sized
+    from the local models in ``arrays``) or its owned slice to every
+    peer (AllGather, sized from the reassembled model ``arrays``), then
+    a Reduce-Scatter owner combines the ``k`` copies of its partition.
+
+    A crash here is the costly AllReduce failure mode: the owner's
+    received pieces die with it, so its retry is a dense ``k - 1``
+    refill fan-in from every peer before the combine is redone.
     """
     _check_mode(mode)
-    k = len(vectors_by_executor)
-    if k == 0:
-        raise ValueError("need at least one executor")
-    supports = [[np.flatnonzero(v) for v in vectors]
-                for vectors in vectors_by_executor]
-    leaf_values = tuple(
-        tuple(wire_values(int(idx.size), model_size, mode) for idx in row)
-        for row in supports)
-
-    aggregators = sorted(plan)
-    a = len(aggregators)
-    partial_values: list[float] = []
-    for agg in aggregators:
-        member_supports = [idx for e in range(k) if e % a == agg
-                           for idx in supports[e]]
-        union = (np.unique(np.concatenate(member_supports))
-                 if member_supports else np.empty(0, dtype=np.int64))
-        partial_values.append(wire_values(int(union.size), model_size, mode))
-
-    if a == 0:
-        # Depth 1: every leaf message crosses to the driver.
-        network_leaves = [(e, t) for e in range(k)
-                          for t in range(len(leaf_values[e]))]
+    k = topology.num_executors
+    m = model_size
+    if m < k:
+        raise ValueError(
+            f"cannot run {phase} with a model of size {m} across {k} "
+            "executors: each owner needs at least one coordinate "
+            "(num_executors > model_size)")
+    piece = m / k
+    combine: tuple[Segment, ...] = ()
+    if phase == "reduce_scatter":
+        combine = (Segment("compute", "aggregate", ((m / k * k, 1),)),)
+    refill = (Segment("cross", "recv", ((piece, k - 1),), counted=False),
+              *combine)
+    dense = float((k - 1) * m)
+    retry = (refill,) * k
+    if mode == "off" or arrays is None:
+        send = (Segment("cross", "send", ((piece, k - 1),)), *combine)
+        return Schedule(phase, (send,) * k, dense, dense, retry=retry)
+    slices = partition_slices(m, k)
+    if phase == "reduce_scatter":
+        rows = [[wire_values(int(np.count_nonzero(model[slices[owner]])),
+                             slices[owner].stop - slices[owner].start, mode)
+                 for owner in range(k) if owner != src]
+                for src, model in enumerate(arrays)]
     else:
-        # Depth 2: members ship to their aggregator; an aggregator's own
-        # vectors are local (executor e's aggregator is e % a).
-        network_leaves = [(e, t) for e in range(k) if e % a != e
-                          for t in range(len(leaf_values[e]))]
-    wire_total = (sum(leaf_values[e][t] for e, t in network_leaves)
-                  + sum(partial_values))
-    dense_total = float(model_size) * (len(network_leaves) + a)
-    return TreeWire(leaf_values=leaf_values,
-                    partial_values=tuple(partial_values),
-                    dense_values=dense_total, wire_values=wire_total)
+        own = [wire_values(int(np.count_nonzero(arrays[s])),
+                           s.stop - s.start, mode) for s in slices]
+        rows = [[own[src]] * (k - 1) for src in range(k)]
+    segments = tuple((Segment("cross", "send", runs(row)), *combine)
+                     for row in rows)
+    return Schedule(phase, segments, dense,
+                    float(sum(v for row in rows for v in row)), retry=retry,
+                    dense=flat_exchange(phase, topology, m))
+
+
+def tree_fan_in_wire(topology: Topology, model_size: int, mode: str = "off",
+                     vectors=None, messages_per_executor: int = 1,
+                     ) -> Schedule:
+    """MLlib's treeAggregate of every executor's task vectors.
+
+    Every member of a level-1 group (``topology.tree_groups``) ships its
+    vectors to the group's aggregator, which drains them serially and
+    adds its group up; the driver then drains one partial per
+    aggregator.  Without groups (depth 1) every vector crosses straight
+    to the driver.  ``vectors[i]`` holds executor ``i``'s task
+    vectors; when sized (``mode`` not ``'off'``) a leaf message carries
+    its vector's support and a partial its group's union support.
+
+    Dense schedules keep MLlib's pricing: a member's send span is one
+    message however many task waves it ships, while the aggregator's
+    and the driver's fan-ins count every message.
+    """
+    _check_mode(mode)
+    k = topology.num_executors
+    groups = topology.tree_groups
+    a = len(groups)
+    m = model_size
+    mpe = messages_per_executor if vectors is None else len(vectors[0])
+    if mpe < 1:
+        raise ValueError("messages_per_executor must be at least 1")
+    sized = vectors is not None and mode != "off"
+    if vectors is not None and (len(vectors) != k
+                                or any(len(row) != mpe for row in vectors)):
+        raise ValueError("need the same number of task vectors from "
+                         "every executor")
+    leaves = ([e for group in groups for e in group[1:]] if groups
+              else list(range(k)))
+    dense = float(m) * (len(leaves) * mpe + a)
+    sends: list[tuple[Run, ...]]
+    ingress: list[tuple[Run, ...]]
+    up: tuple[Run, ...]
+    if sized:
+        supports = [[np.flatnonzero(v) for v in row] for row in vectors]
+        leaf = [[wire_values(int(idx.size), m, mode) for idx in row]
+                for row in supports]
+        partials = [wire_values(int(np.unique(np.concatenate(
+            [idx for e in group for idx in supports[e]])).size), m, mode)
+            for group in groups]
+        sends = [runs(row) for row in leaf]
+        ingress = [runs([v for e in group[1:] for v in leaf[e]])
+                   for group in groups]
+        up = runs(partials) if a else runs([v for row in leaf for v in row])
+        wire = (float(sum(v for e in leaves for v in leaf[e]))
+                + float(sum(partials)))
+    else:
+        sends = [((m, 1),)] * k
+        ingress = [((m, (len(group) - 1) * mpe),) for group in groups]
+        up = ((m, a),) if a else ((m, k * mpe),)
+        wire = dense
+    segments: list[tuple[Segment, ...]] = [
+        (Segment("cross", "send", sends[e]),) for e in range(k)]
+    for j, group in enumerate(groups):
+        segments[group[0]] = (
+            Segment("cross", "aggregate", ingress[j], counted=False),
+            Segment("compute", "aggregate", ((len(group) * mpe * m, 1),)))
+    # Partials are recorded on the driver's span; depth-1 leaves already
+    # were, on their senders'.
+    tail = (Segment("cross", "aggregate", up, counted=a > 0),
+            Segment("compute", "aggregate", (((a or k * mpe) * m, 1),)))
+    return Schedule("tree_aggregate", tuple(segments), dense, wire,
+                    level1=tuple(group[0] for group in groups), tail=tail,
+                    dense=(tree_fan_in_wire(topology, m,
+                                            messages_per_executor=mpe)
+                           if sized else None))

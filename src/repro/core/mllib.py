@@ -54,6 +54,7 @@ class MLlibTrainer(DistributedTrainer):
                                  broadcast=self._broadcast,
                                  faults=self.faults, recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
+        self._topology = self._collective_topology(self._engine)
         self._rngs = self._worker_rngs(data.num_partitions)
 
     def _clock(self) -> float:
@@ -106,24 +107,11 @@ class MLlibTrainer(DistributedTrainer):
         # in-memory vectors die with it) before resending.  Under
         # --sparse-comm each task's message is priced at its gradient's
         # support (the batch's column support, far smaller than m).
-        mode = self.config.sparse_comm
-        wire = None
-        if self.config.collective == "hier":
-            wire = hier_tree_fan_in(task_grads_by_executor,
-                                    self.cluster.executor_groups(), m,
-                                    mode)
-        elif self.config.collective == "switch":
-            wire = switch_tree_fan_in(
-                task_grads_by_executor,
-                engine.tree.plan(data.num_partitions), m, mode,
-                pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk)
-        elif mode != "off":
-            wire = tree_fan_in_wire(
-                task_grads_by_executor,
-                engine.tree.plan(data.num_partitions), m, mode)
-        engine.tree_aggregate_phase(m, step, messages_per_executor=waves,
-                                    redo_seconds=durations, wire=wire)
+        build = {"flat": tree_fan_in_wire, "hier": hier_tree_fan_in,
+                 "switch": switch_tree_fan_in}[self.config.collective]
+        schedule = build(self._topology, m, self.config.sparse_comm,
+                         task_grads_by_executor)
+        engine.collective_phase(schedule, step, redo_seconds=durations)
 
         # Phase 3: the single model update at the driver (bottleneck B1).
         mean_grad = np.mean(gradients, axis=0)

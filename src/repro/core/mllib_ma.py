@@ -49,6 +49,7 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
                                  broadcast=self._broadcast,
                                  faults=self.faults, recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
+        self._topology = self._collective_topology(self._engine)
         self._rngs = self._worker_rngs(data.num_partitions)
         self._init_dual_state(data)
 
@@ -107,24 +108,11 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
         # before resending.  Under --sparse-comm each local model's
         # message is priced at its support (the coordinates local SGD
         # touched — the partition's column support at most).
-        mode = self.config.sparse_comm
-        wire = None
-        if self.config.collective == "hier":
-            wire = hier_tree_fan_in([[local] for local in locals_],
-                                    self.cluster.executor_groups(), m,
-                                    mode)
-        elif self.config.collective == "switch":
-            wire = switch_tree_fan_in(
-                [[local] for local in locals_],
-                engine.tree.plan(data.num_partitions), m, mode,
-                pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk)
-        elif mode != "off":
-            wire = tree_fan_in_wire(
-                [[local] for local in locals_],
-                engine.tree.plan(data.num_partitions), m, mode)
-        engine.tree_aggregate_phase(m, step, redo_seconds=durations,
-                                    wire=wire)
+        build = {"flat": tree_fan_in_wire, "hier": hier_tree_fan_in,
+                 "switch": switch_tree_fan_in}[self.config.collective]
+        schedule = build(self._topology, m, self.config.sparse_comm,
+                         [[local] for local in locals_])
+        engine.collective_phase(schedule, step, redo_seconds=durations)
 
         # ...which combines them on the driver (one dense pass): model
         # averaging for the primal path, delta summation (applied to the

@@ -66,6 +66,7 @@ class MLlibStarTrainer(DistributedTrainer):
         self._engine = BspEngine(self.cluster, faults=self.faults,
                                  recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
+        self._topology = self._collective_topology(self._engine)
         self._rngs = self._worker_rngs(data.num_partitions)
         self._init_dual_state(data)
 
@@ -157,47 +158,19 @@ class MLlibStarTrainer(DistributedTrainer):
         # bit-identical across --collective values too.
         mode = self.config.sparse_comm
         collective = self.config.collective
-        if collective == "hier":
-            groups = self.cluster.executor_groups()
-            partitions, rs_wire = hier_reduce_scatter(
-                locals_, groups, combine=combine, weights=weights,
-                mode=mode)
-            engine.reduce_scatter_phase(m, step, redo_seconds=durations,
-                                        wire=rs_wire)
-            new_w, ag_wire = hier_all_gather(
-                partitions, m, groups, mode=mode,
-                check_replicas=self.sanitizer.enabled)
-            engine.all_gather_phase(m, step, redo_seconds=durations,
-                                    wire=ag_wire)
-            return new_w
-        if collective == "switch":
-            partitions, rs_wire = switch_reduce_scatter(
-                locals_, combine=combine, weights=weights,
-                mode=mode, pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk)
-            engine.reduce_scatter_phase(m, step, redo_seconds=durations,
-                                        wire=rs_wire)
-            new_w, ag_wire = switch_all_gather(
-                partitions, m, mode=mode,
-                pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk,
-                check_replicas=self.sanitizer.enabled)
-            engine.all_gather_phase(m, step, redo_seconds=durations,
-                                    wire=ag_wire)
-            return new_w
-        partitions, rs_stats = sparse_reduce_scatter(
-            locals_, combine=combine, weights=weights, mode=mode)
-        engine.reduce_scatter_phase(
-            m, step, redo_seconds=durations,
-            wire=rs_stats if mode != "off" else None)
+        reduce = {"flat": sparse_reduce_scatter, "hier": hier_reduce_scatter,
+                  "switch": switch_reduce_scatter}[collective]
+        partitions, schedule = reduce(locals_, self._topology,
+                                      combine=combine, weights=weights,
+                                      mode=mode)
+        engine.collective_phase(schedule, step, redo_seconds=durations)
 
         # Phase 3: AllGather — everyone reassembles the global model.
         # Under --sanitize every worker's reassembled replica is
         # digest-checked for bit-identity at this barrier.
-        new_w, ag_stats = sparse_all_gather(
-            partitions, m, mode=mode,
-            check_replicas=self.sanitizer.enabled)
-        engine.all_gather_phase(
-            m, step, redo_seconds=durations,
-            wire=ag_stats if mode != "off" else None)
+        gather = {"flat": sparse_all_gather, "hier": hier_all_gather,
+                  "switch": switch_all_gather}[collective]
+        new_w, schedule = gather(partitions, self._topology, m, mode=mode,
+                                 check_replicas=self.sanitizer.enabled)
+        engine.collective_phase(schedule, step, redo_seconds=durations)
         return new_w

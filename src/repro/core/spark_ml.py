@@ -29,7 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec, Trace
-from ..collectives import hier_dense_wire, switch_dense_wire
+from ..collectives import (flat_exchange, hier_exchange, hier_tree_fan_in,
+                           switch_exchange, switch_tree_fan_in,
+                           tree_fan_in_wire)
 from ..engine import BspEngine, PartitionedDataset
 from ..glm import Objective
 from ..glm.lbfgs import LbfgsState, wolfe_line_search
@@ -63,6 +65,7 @@ class SparkMlTrainer(DistributedTrainer):
         self._engine = BspEngine(self.cluster, faults=self.faults,
                                  recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
+        self._topology = self._collective_topology(self._engine)
         self._state = LbfgsState(memory=self.memory)
         self._grad = None
 
@@ -107,34 +110,18 @@ class SparkMlTrainer(DistributedTrainer):
 
         spark.ml ships the candidate model driver -> executors (unless the
         executors already hold it, e.g. the first evaluation of the run),
-        runs the pass, and tree-aggregates the gradient back.
+        runs the pass, and tree-aggregates the gradient back.  The
+        gradients are dense, so every message is priced at its dense size.
         """
         engine = self._engine
         assert engine is not None
         if candidate_shipped:
             engine.broadcast_phase(m, step)
         engine.compute_phase(durations, step)
-        engine.tree_aggregate_phase(m, step, redo_seconds=durations,
-                                    wire=self._topology_wire(
-                                        "tree_aggregate", m))
-
-    def _topology_wire(self, phase: str, m: int):
-        """Non-flat collective pricing for the dense L-BFGS messages.
-
-        spark.ml ships dense gradients, so hier/switch wires carry every
-        message at its dense size; under the default ``flat`` collective
-        this returns ``None`` and pricing is bit-identical to the seed.
-        """
-        collective = self.config.collective
-        if collective == "hier":
-            return hier_dense_wire(phase, m,
-                                   self.cluster.executor_groups())
-        if collective == "switch":
-            return switch_dense_wire(
-                phase, m, self.cluster.num_executors,
-                pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk)
-        return None
+        build = {"flat": tree_fan_in_wire, "hier": hier_tree_fan_in,
+                 "switch": switch_tree_fan_in}[self.config.collective]
+        engine.collective_phase(build(self._topology, m), step,
+                                redo_seconds=durations)
 
     def _charge_direction(self, m: int, step: int) -> None:
         """The two-loop recursion over the curvature history."""
@@ -220,11 +207,11 @@ class SparkMlStarTrainer(SparkMlTrainer):
         assert engine is not None
         # No model broadcast: every executor builds the candidate locally.
         engine.compute_phase(durations, step)
-        engine.reduce_scatter_phase(m, step, redo_seconds=durations,
-                                    wire=self._topology_wire(
-                                        "reduce_scatter", m))
-        engine.all_gather_phase(m, step, redo_seconds=durations,
-                                wire=self._topology_wire("all_gather", m))
+        build = {"flat": flat_exchange, "hier": hier_exchange,
+                 "switch": switch_exchange}[self.config.collective]
+        for phase in ("reduce_scatter", "all_gather"):
+            engine.collective_phase(build(phase, self._topology, m), step,
+                                    redo_seconds=durations)
 
     def _charge_direction(self, m: int, step: int) -> None:
         engine = self._engine

@@ -36,6 +36,7 @@ from ..analysis.sanitizer import BarrierSanitizer
 from ..cluster import ClusterSpec, Trace
 from ..cluster.faults import (FailureRecord, RecoveryPolicy,
                               build_failure_model)
+from ..collectives import Topology
 from ..data import SparseDataset
 from ..engine import CommRecord, PartitionedDataset
 from ..engine.backend import ExecutionBackend, SerialBackend, make_backend
@@ -234,6 +235,14 @@ class DistributedTrainer:
             self.cluster.compute.sparse_pass_seconds(
                 part.nnz, self.cluster.executors[i])
             for i, part in enumerate(data.partitions)])
+
+    def _collective_topology(self, engine) -> Topology:
+        """Where this run's collectives execute: the cluster's machine
+        groups, the engine's treeAggregate shape and the switch pool
+        (``config.collective`` picks the topology's builder)."""
+        return Topology.of(self.cluster, engine.tree,
+                           pool_slots=self.config.switch_slots,
+                           chunk_values=self.config.switch_chunk)
 
     # ------------------------------------------------------------------
     def _init_dual_state(self, data: PartitionedDataset) -> None:

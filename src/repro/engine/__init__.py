@@ -1,6 +1,6 @@
 """Spark-like BSP execution engine: RDDs, driver, aggregation, shuffle."""
 
-from .aggregation import TreeAggregateModel, TreeAggregateTiming
+from .aggregation import TreeAggregateModel
 from .backend import (BACKENDS, ExecutionBackend, ProcessBackend,
                       SerialBackend, ShmBackend, SocketBackend,
                       ThreadBackend, make_backend)
@@ -8,15 +8,15 @@ from .broadcast import BroadcastModel
 from .dag import MiniRdd, RddContext
 from .driver import DRIVER_LABEL, BspEngine, CommRecord, executor_label
 from .rdd import PartitionedDataset
-from .shuffle import ShuffleModel, exchange
+from .shuffle import exchange
 
 __all__ = [
     "BspEngine", "CommRecord", "DRIVER_LABEL", "executor_label",
     "PartitionedDataset",
     "BACKENDS", "ExecutionBackend", "SerialBackend", "ThreadBackend",
     "ProcessBackend", "ShmBackend", "SocketBackend", "make_backend",
-    "TreeAggregateModel", "TreeAggregateTiming",
+    "TreeAggregateModel",
     "BroadcastModel",
-    "ShuffleModel", "exchange",
+    "exchange",
     "RddContext", "MiniRdd",
 ]

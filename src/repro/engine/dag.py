@@ -258,12 +258,17 @@ class MiniRdd:
                 acc = seq_op(acc, row)
             partials.append(acc)
 
-        # Communication: the same hierarchical pattern the trainers pay.
+        # Communication: the same hierarchical pattern the trainers pay,
+        # priced by the same (dense, flat) schedule.
+        from ..collectives import Topology, tree_fan_in_wire
         ctx = self.context
-        timing = ctx.tree.timing(ctx.cluster, result_size)
+        tree = tree_fan_in_wire(Topology.of(ctx.cluster, ctx.tree),
+                                result_size)
+        aggregators = tree.level1_seconds(ctx.cluster)
+        driver = tree.tail_seconds(ctx.cluster)
         start = ctx.now
-        end = start + timing.total_seconds
-        ctx.trace.add(DRIVER_LABEL, start + timing.aggregator_seconds, end,
+        end = start + (aggregators + driver)
+        ctx.trace.add(DRIVER_LABEL, start + aggregators, end,
                       "aggregate", ctx._action_counter)
         ctx.now = end
 

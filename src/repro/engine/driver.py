@@ -9,11 +9,12 @@ straggler slowdowns, enforces barrier-to-slowest semantics, and emits
 Phases available (one per communication pattern in the paper):
 
 * :meth:`compute_phase`       — executors do local work, barrier at the end;
-* :meth:`tree_aggregate_phase`— MLlib's hierarchical aggregation to the driver;
+* :meth:`collective_phase`    — one collective
+  :class:`~repro.collectives.Schedule`: MLlib's treeAggregate to the
+  driver, or one of the two shuffle rounds (Reduce-Scatter, AllGather)
+  MLlib* replaces the driver round-trip with, under any topology;
 * :meth:`driver_update_phase` — the driver applies an update to the model;
 * :meth:`broadcast_phase`     — driver ships the model back to executors;
-* :meth:`reduce_scatter_phase`/:meth:`all_gather_phase` — the two shuffle
-  rounds MLlib* replaces the driver round-trip with;
 * :meth:`checkpoint_phase`    — executors write recovery state to stable
   storage (only called when a checkpointing recovery policy is active).
 
@@ -52,18 +53,15 @@ from ..cluster.faults import (FailureModel, FailureRecord, NoFailures,
                               RecoveryError, RecoveryPolicy)
 from .aggregation import TreeAggregateModel
 from .broadcast import BroadcastModel
-from .shuffle import ShuffleModel
 
 if TYPE_CHECKING:  # avoid a runtime engine -> collectives import cycle
-    from ..collectives.hierarchical import HierWire
-    from ..collectives.innetwork import SwitchWire
-    from ..collectives.sparse import CommStats, TreeWire
+    from ..collectives.schedule import Schedule
 
 __all__ = ["BspEngine", "CommRecord", "DRIVER_LABEL", "executor_label"]
 
 DRIVER_LABEL = "driver"
 
-#: (seconds, span-kind) work segments used by the failure-aware runner.
+#: (seconds, span-kind, values) work items of the failure-aware runner.
 _Segments = list
 
 
@@ -133,7 +131,6 @@ class BspEngine:
         self.cluster = cluster
         self.tree = tree if tree is not None else TreeAggregateModel()
         self.broadcast = broadcast if broadcast is not None else BroadcastModel()
-        self.shuffle = ShuffleModel()
         self.faults = faults if faults is not None else NoFailures()
         # Fail fast on failure scripts that could never fire: an event
         # targeting an executor index outside this cluster is a scenario
@@ -192,16 +189,24 @@ class BspEngine:
             return base + self._restore_seconds
         return base + self._reload_seconds[executor_index]
 
+    def _span(self, label: str, start: float, end: float, kind: str,
+              step: int, values: float = 0.0) -> None:
+        """Record a positive-duration span.  Wire values are recorded on
+        failure-free runs only (a crash voids and resends work)."""
+        if end > start:
+            self.trace.add(label, start, end, kind, step,
+                           values=0.0 if self.faults.enabled else values)
+
     def _attempt_run(self, executor_index: int, start: float,
                      segments: _Segments, retry_segments: _Segments,
                      step: int, phase: str) -> float:
         """Run one executor's phase work with crash/retry handling.
 
-        ``segments``/``retry_segments`` are ``(seconds, kind)`` lists: the
-        first attempt runs ``segments``; every post-recovery attempt runs
-        ``retry_segments`` (which may prepend recomputation work).  Returns
-        the executor's finish time; raises :class:`RecoveryError` once the
-        retry budget is exhausted.
+        ``segments``/``retry_segments`` are ``(seconds, kind, values)``
+        lists: the first attempt runs ``segments``; every post-recovery
+        attempt runs ``retry_segments`` (which may prepend recomputation
+        work).  Returns the executor's finish time; raises
+        :class:`RecoveryError` once the retry budget is exhausted.
         """
         label = executor_label(executor_index)
         t = start
@@ -211,18 +216,18 @@ class BspEngine:
             event = self.faults.crash_event(step, phase, executor_index,
                                             attempt)
             if event is None:
-                for seconds, kind in current:
-                    if seconds > 0:
-                        self.trace.add(label, t, t + seconds, kind, step)
+                for seconds, kind, values in current:
+                    self._span(label, t, t + seconds, kind, step, values)
                     t += seconds
                 return t
-            total = sum(seconds for seconds, _ in current)
+            total = 0.0
+            for seconds, _, _ in current:
+                total += seconds
             crash_at = t + total * event.at_fraction
             cursor = t
-            for seconds, kind in current:  # work done before the crash
-                end = min(cursor + seconds, crash_at)
-                if end > cursor:
-                    self.trace.add(label, cursor, end, kind, step)
+            for seconds, kind, _ in current:  # work done before the crash
+                self._span(label, cursor, min(cursor + seconds, crash_at),
+                           kind, step)
                 cursor += seconds
                 if cursor >= crash_at:
                     break
@@ -235,9 +240,8 @@ class BspEngine:
                     f"on attempt {attempt + 1}, exhausting the retry "
                     f"budget (max_retries={self.recovery.max_retries})")
             downtime = self._restore_cost(executor_index)
-            if downtime > 0:
-                self.trace.add(label, crash_at, crash_at + downtime,
-                               "recovery", step)
+            self._span(label, crash_at, crash_at + downtime, "recovery",
+                       step)
             t = crash_at + downtime
             attempt += 1
             current = retry_segments
@@ -265,7 +269,7 @@ class BspEngine:
             node = self.cluster.executors[i]
             duration = base * self.cluster.slowdown(node, step)
             if self.faults.enabled:
-                segments = [(duration, "compute")]
+                segments = [(duration, "compute", 0.0)]
                 end = self._attempt_run(i, start, segments, segments,
                                         step, "compute")
             else:
@@ -280,286 +284,6 @@ class BspEngine:
         self._wait_fill(DRIVER_LABEL, start, barrier, step)
         self.now = barrier
         return barrier - start
-
-    def tree_aggregate_phase(self, model_size: int, step: int,
-                             messages_per_executor: int = 1,
-                             redo_seconds: list[float] | None = None,
-                             wire: "TreeWire | HierWire | SwitchWire | None"
-                             = None) -> float:
-        """Hierarchical aggregation of size-``m`` vectors to the driver.
-
-        ``messages_per_executor`` > 1 models multiple waves of tasks per
-        executor, each shipping its own vector (Section V-C).
-        ``redo_seconds[i]`` is the cost for executor ``i`` to recompute
-        its vector after a crash (the in-memory gradient/model dies with
-        the executor); the driver fan-in starts late by the recovery
-        delay of the slowest failed sender.
-
-        ``wire`` (a :class:`~repro.collectives.sparse.TreeWire`) prices
-        each leaf/partial message at its sparse encoded size instead of
-        ``model_size``.  Fault-recovery resends stay dense-priced (the
-        recovered state is re-shipped conservatively).  With ``wire=None``
-        timing is bit-identical to the dense engine.
-
-        A :class:`~repro.collectives.hierarchical.HierWire` or
-        :class:`~repro.collectives.innetwork.SwitchWire` replaces the
-        whole schedule with the two-tier / in-network topology; a switch
-        wire whose sparse fallback fired prices as the host sparse tree.
-        The aggregated values are the same in every case — topology is a
-        pricing choice (``docs/communication.md``).
-        """
-        # Runtime imports keep the module-load graph acyclic
-        # (collectives -> engine.shuffle).
-        from ..collectives.hierarchical import HierWire
-        from ..collectives.innetwork import SwitchWire
-        if isinstance(wire, SwitchWire):
-            if wire.fallback is None:
-                return self._switch_tree_aggregate(
-                    model_size, step, messages_per_executor, redo_seconds,
-                    wire)
-            wire = wire.fallback
-        if isinstance(wire, HierWire):
-            return self._hier_tree_aggregate(
-                model_size, step, messages_per_executor, redo_seconds,
-                wire)
-        timing = self.tree.timing(self.cluster, model_size,
-                                  messages_per_executor, wire=wire)
-        net_slow = self._net_slowdown(step)
-        start = self.now
-        net = self.cluster.network
-        if wire is None:
-            send_list = [net.transfer_seconds(model_size) * net_slow
-                         ] * self.num_executors
-            send_values = [float(model_size)] * self.num_executors
-        else:
-            send_list = [net.fan_in_varied_seconds(wire.leaf_values[i])
-                         * net_slow for i in range(self.num_executors)]
-            send_values = [float(sum(wire.leaf_values[i]))
-                           for i in range(self.num_executors)]
-
-        level1_end = start + timing.aggregator_seconds * net_slow
-        aggregators = set(timing.groups)
-        delay = 0.0
-        finish_times: list[float] = []
-        for i in range(self.num_executors):
-            label = executor_label(i)
-            is_aggregator = i in aggregators and bool(timing.groups)
-            if is_aggregator:
-                segments = [(level1_end - start, "aggregate")]
-            else:
-                segments = [(send_list[i], "send")]
-            if self.faults.enabled:
-                redo = ([] if redo_seconds is None
-                        else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        redo + segments, step, "aggregate")
-                delay = max(delay, end - (start + segments[0][0]))
-            else:
-                end = start + segments[0][0]
-                self.trace.add(label, start, end, segments[0][1], step,
-                               values=(0.0 if is_aggregator
-                                       else send_values[i]))
-            finish_times.append(end)
-            if not is_aggregator:
-                self._wait_fill(label, end, level1_end, step)
-
-        driver_start = level1_end + delay
-        driver_end = driver_start + timing.driver_seconds * net_slow
-        self.trace.add(DRIVER_LABEL, driver_start, driver_end,
-                       "aggregate", step)
-        for i in range(self.num_executors):
-            busy_until = (max(level1_end, finish_times[i])
-                          if self.faults.enabled else level1_end)
-            self._wait_fill(executor_label(i), busy_until, driver_end, step)
-
-        if wire is None:
-            a = len(timing.groups)
-            msgs = (self.num_executors * messages_per_executor if a == 0
-                    else (self.num_executors - a) * messages_per_executor + a)
-            dense_values = float(model_size) * msgs
-            wire_values = dense_values
-            dense_ingress = timing.ingress_seconds
-        else:
-            dense_values = wire.dense_values
-            wire_values = wire.wire_values
-            dense_ingress = self.tree.timing(
-                self.cluster, model_size, messages_per_executor
-            ).ingress_seconds
-        self.comm_records.append(CommRecord(
-            step=step, phase="tree_aggregate", dense_values=dense_values,
-            wire_values=wire_values,
-            seconds=timing.ingress_seconds * net_slow,
-            dense_seconds=dense_ingress * net_slow))
-        self.now = driver_end
-        return driver_end - start
-
-    def _hier_tree_aggregate(self, model_size: int, step: int,
-                             messages_per_executor: int,
-                             redo_seconds: list[float] | None,
-                             wire: "HierWire") -> float:
-        """Two-tier treeAggregate: machine leaders replace MLlib's
-        round-robin aggregators.
-
-        Members ship their task vectors to their machine's leader over
-        the *intra* tier; each leader combines its group's vectors and
-        ships one partial to the driver over the cross-node fabric.
-        Mirrors :meth:`tree_aggregate_phase` barrier/fault semantics.
-        """
-        k = self.num_executors
-        if wire.num_executors != k:
-            raise ValueError(f"wire carries {wire.num_executors} "
-                             f"executors, cluster has {k}")
-        if wire.messages_per_executor != messages_per_executor:
-            raise ValueError("wire must carry messages_per_executor "
-                             "sizes per executor")
-        mpe = messages_per_executor
-        net = self.cluster.network
-        compute = self.cluster.compute
-        net_slow = self._net_slowdown(step)
-        start = self.now
-        n = len(wire.groups)
-        leaders = wire.leaders
-
-        # Level 1: every leader drains its members over the intra tier
-        # (serialized ingress) and folds the group's vectors; leaders run
-        # concurrently, as in the flat treeAggregate.
-        level1 = 0.0
-        level1_ingress = 0.0
-        for group in wire.groups:
-            node = self.cluster.executors[group[0]]
-            ingress = sum(net.intra_transfer_seconds(v)
-                          for e in group[1:]
-                          for v in wire.intra_sends[e])
-            seconds = ingress + compute.dense_op_seconds(
-                len(group) * mpe * model_size, node)
-            level1 = max(level1, seconds)
-            level1_ingress = max(level1_ingress, ingress)
-        # Level 2: the driver receives one partial per machine.
-        partials = [v for i in leaders for v in wire.cross_sends[i]]
-        driver_ingress = net.fan_in_varied_seconds(partials)
-        driver_seconds = (driver_ingress
-                          + compute.dense_op_seconds(n * model_size,
-                                                     self.cluster.driver))
-
-        level1_end = start + level1 * net_slow
-        is_leader = [False] * k
-        for i in leaders:
-            is_leader[i] = True
-        delay = 0.0
-        finish_times: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            if is_leader[i]:
-                segments: _Segments = [(level1_end - start, "aggregate")]
-                values = 0.0
-            else:
-                send = (sum(net.intra_transfer_seconds(v)
-                            for v in wire.intra_sends[i]) * net_slow)
-                segments = [(send, "send")]
-                values = float(sum(wire.intra_sends[i]))
-            if self.faults.enabled:
-                redo = ([] if redo_seconds is None
-                        else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        redo + segments, step, "aggregate")
-                delay = max(delay, end - (start + segments[0][0]))
-            else:
-                end = start + segments[0][0]
-                if segments[0][0] > 0:
-                    self.trace.add(label, start, end, segments[0][1],
-                                   step, values=values)
-            finish_times.append(end)
-            if not is_leader[i]:
-                self._wait_fill(label, end, level1_end, step)
-
-        driver_start = level1_end + delay
-        driver_end = driver_start + driver_seconds * net_slow
-        self.trace.add(DRIVER_LABEL, driver_start, driver_end,
-                       "aggregate", step)
-        for i in range(k):
-            busy_until = (max(level1_end, finish_times[i])
-                          if self.faults.enabled else level1_end)
-            self._wait_fill(executor_label(i), busy_until, driver_end,
-                            step)
-        dense_ingress = self.tree.timing(self.cluster, model_size,
-                                         mpe).ingress_seconds
-        self.comm_records.append(CommRecord(
-            step=step, phase="tree_aggregate",
-            dense_values=wire.dense_values, wire_values=wire.wire_values,
-            seconds=(level1_ingress + driver_ingress) * net_slow,
-            dense_seconds=dense_ingress * net_slow))
-        self.now = driver_end
-        return driver_end - start
-
-    def _switch_tree_aggregate(self, model_size: int, step: int,
-                               messages_per_executor: int,
-                               redo_seconds: list[float] | None,
-                               wire: "SwitchWire") -> float:
-        """In-network treeAggregate: every task vector streams through
-        the switch concurrently; the driver receives one result.
-
-        Slot exhaustion (more chunks in flight than ``pool_slots``)
-        stalls the streams for one extra latency per round — stretching
-        seconds without touching any aggregated value.
-        """
-        from ..collectives.innetwork import switch_stream_seconds
-        k = self.num_executors
-        if wire.num_senders != k:
-            raise ValueError(f"wire carries {wire.num_senders} senders, "
-                             f"cluster has {k}")
-        if wire.messages_per_executor != messages_per_executor:
-            raise ValueError("wire must carry messages_per_executor "
-                             "messages per executor")
-        net = self.cluster.network
-        compute = self.cluster.compute
-        net_slow = self._net_slowdown(step)
-        start = self.now
-        stream_raw = switch_stream_seconds(net, wire.values_per_link,
-                                           wire.chunk_values,
-                                           wire.pool_slots)
-        stream = stream_raw * net_slow
-        delay = 0.0
-        finish_times: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            segments: _Segments = [(stream, "send")]
-            if self.faults.enabled:
-                redo = ([] if redo_seconds is None
-                        else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        redo + segments, step, "aggregate")
-                delay = max(delay, end - (start + stream))
-            else:
-                end = start + stream
-                if stream > 0:
-                    self.trace.add(label, start, end, "send", step,
-                                   values=wire.values_per_link)
-            finish_times.append(end)
-
-        stream_end = start + stream
-        driver_ingress = net.transfer_seconds(model_size)
-        driver_seconds = (driver_ingress
-                          + compute.dense_op_seconds(model_size,
-                                                     self.cluster.driver))
-        driver_start = stream_end + delay
-        driver_end = driver_start + driver_seconds * net_slow
-        self.trace.add(DRIVER_LABEL, driver_start, driver_end,
-                       "aggregate", step)
-        for i in range(k):
-            busy_until = (max(stream_end, finish_times[i])
-                          if self.faults.enabled else stream_end)
-            self._wait_fill(executor_label(i), busy_until, driver_end,
-                            step)
-        dense_ingress = self.tree.timing(self.cluster, model_size,
-                                         messages_per_executor
-                                         ).ingress_seconds
-        self.comm_records.append(CommRecord(
-            step=step, phase="tree_aggregate",
-            dense_values=wire.dense_values, wire_values=wire.wire_values,
-            seconds=(stream_raw + driver_ingress) * net_slow,
-            dense_seconds=dense_ingress * net_slow))
-        self.now = driver_end
-        return driver_end - start
 
     def driver_update_phase(self, seconds: float, step: int) -> float:
         """The driver applies an update while every executor waits."""
@@ -596,308 +320,94 @@ class BspEngine:
         return duration
 
     # ------------------------------------------------------------------
-    # MLlib* shuffle-based collective phases
+    # collectives
     # ------------------------------------------------------------------
-    def _all_to_all_phase(self, model_size: int, step: int, phase: str,
-                          combine_coords: float,
-                          redo_seconds: list[float] | None = None,
-                          wire: "CommStats | HierWire | SwitchWire | None"
-                          = None) -> float:
-        """One shuffle round: every executor exchanges model pieces.
+    def _priced(self, schedule: "Schedule", segments, node,
+                slowdown: float) -> _Segments:
+        """``(seconds, kind, values)`` work items of one segment list;
+        network segments are slowed, combine compute is not."""
+        work = []
+        for seg in segments:
+            seconds = schedule.segment_seconds(seg, self.cluster, node)
+            if seg.tier != "compute":
+                seconds *= slowdown
+            work.append((seconds, seg.kind, seg.values))
+        return work
 
-        Each executor sends ``k - 1`` messages of ``m / k`` coordinates on
-        its own uplink (concurrently with its peers) and then optionally
-        combines received pieces (``combine_coords`` dense coordinate ops,
-        straggler-free since it is tiny).
+    def collective_phase(self, schedule: "Schedule", step: int,
+                         redo_seconds: list[float] | None = None) -> float:
+        """Run one collective :class:`~repro.collectives.Schedule`.
 
-        ``wire`` (a :class:`~repro.collectives.sparse.CommStats`) prices
-        each executor's sends at their actual encoded sizes
-        (``wire.per_sender[i]``) instead of ``k - 1`` dense pieces; with
-        ``wire=None`` the phase is bit-identical to the dense engine.
-
-        A crash here is the costly AllReduce failure mode: the owner's
-        received pieces die with it, so recovery redoes the owner's local
-        work (``redo_seconds``), then **all peers re-send their pieces**
-        — a ``k - 1`` serialized fan-in into the recovered node — before
-        the combine is redone (the refill stays dense-priced: recovered
-        state is re-shipped conservatively).  The closing barrier stalls
-        every peer until the owner catches up.
-
-        A :class:`~repro.collectives.hierarchical.HierWire` or
-        :class:`~repro.collectives.innetwork.SwitchWire` reprices the
-        round under the two-tier / in-network topology instead; a switch
-        wire whose sparse fallback fired prices as the flat sparse round.
-        """
-        from ..collectives.hierarchical import HierWire
-        from ..collectives.innetwork import SwitchWire
-        if isinstance(wire, SwitchWire):
-            if wire.fallback is None:
-                return self._switch_all_to_all(model_size, step, phase,
-                                               redo_seconds, wire)
-            wire = wire.fallback
-        if isinstance(wire, HierWire):
-            return self._hier_all_to_all(model_size, step, phase,
-                                         combine_coords, redo_seconds,
-                                         wire)
-        k = self.num_executors
-        if model_size < k:
-            raise ValueError(
-                f"cannot run {phase} with a model of size {model_size} "
-                f"across {k} executors: each owner needs at least one "
-                "coordinate (num_executors > model_size)")
-        piece = model_size / k
-        net_slow = self._net_slowdown(step)
-        dense_send = (self.shuffle.round_seconds(self.cluster, k - 1, piece)
-                      * net_slow)
-        if wire is None:
-            send_list = [dense_send] * k
-            send_values = [(k - 1) * piece] * k
-        else:
-            if len(wire.per_sender) != k:
-                raise ValueError(
-                    f"wire carries {len(wire.per_sender)} senders, "
-                    f"cluster has {k}")
-            send_list = [self.shuffle.sender_seconds(self.cluster,
-                                                     wire.per_sender[i])
-                         * net_slow for i in range(k)]
-            send_values = [float(sum(wire.per_sender[i])) for i in range(k)]
-        start = self.now
-        finish: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            node = self.cluster.executors[i]
-            send_seconds = send_list[i]
-            combine = (self.cluster.compute.dense_op_seconds(
-                combine_coords, node) if combine_coords > 0 else 0.0)
-            if self.faults.enabled:
-                segments: _Segments = [(send_seconds, "send")]
-                if combine > 0:
-                    segments.append((combine, "aggregate"))
-                refill = (self.cluster.network.fan_in_seconds(k - 1, piece)
-                          * net_slow)
-                retry: _Segments = ([] if redo_seconds is None
-                                    else [(redo_seconds[i], "compute")])
-                retry = retry + [(refill, "recv")]
-                if combine > 0:
-                    retry.append((combine, "aggregate"))
-                end = self._attempt_run(i, start, segments, retry, step,
-                                        phase)
-            else:
-                end = start + send_seconds
-                if send_seconds > 0:
-                    self.trace.add(label, start, end, "send", step,
-                                   values=send_values[i])
-                if combine > 0:
-                    self.trace.add(label, end, end + combine, "aggregate",
-                                   step)
-                    end += combine
-            finish.append(end)
-        barrier = max(finish, default=start)
-        for i, end in enumerate(finish):
-            self._wait_fill(executor_label(i), end, barrier, step)
-        self._wait_fill(DRIVER_LABEL, start, barrier, step)
-        dense_values = float((k - 1) * model_size)
-        self.comm_records.append(CommRecord(
-            step=step, phase=phase,
-            dense_values=wire.dense_values if wire is not None
-            else dense_values,
-            wire_values=wire.wire_values if wire is not None
-            else dense_values,
-            seconds=max(send_list, default=0.0),
-            dense_seconds=dense_send))
-        self.now = barrier
-        return barrier - start
-
-    def _hier_all_to_all(self, model_size: int, step: int, phase: str,
-                         combine_coords: float,
-                         redo_seconds: list[float] | None,
-                         wire: "HierWire") -> float:
-        """One two-tier collective round (Reduce-Scatter or AllGather).
-
-        Reduce-Scatter: members upload their model to the machine leader
-        over the intra tier; the leader folds the group and runs the flat
-        exchange among the ``n`` leaders over node-level partitions.
-        AllGather: leaders exchange their node-slices, then fan the
-        reassembled model out to their members.  With singleton groups
-        the schedule *is* the flat exchange, message for message, so
-        priced seconds match the flat wire pricing exactly.
-
-        Fault recovery is the flat AllReduce convention, conservatively
-        dense-priced: the recovered owner redoes its local work, every
-        peer re-sends its piece, and the combine is redone.
+        Every executor runs its segments from the phase start (a crash
+        voids the attempt; recovery redoes ``redo_seconds[i]`` of local
+        work, then the schedule's retry segments).  An exchange ends at
+        a barrier over all executors.  A tree ends level 1 when its
+        busiest level-1 executor finishes — aggregators and machine
+        leaders hold one ``aggregate`` span until then, and their work
+        (combine included) is slowed by the network-slowdown factor as
+        a whole — and then runs the driver's tail, which starts late by
+        the slowest failed sender's recovery delay.  Appends the phase's
+        :class:`CommRecord`; returns the phase duration.
         """
         k = self.num_executors
-        if wire.num_executors != k:
-            raise ValueError(f"wire carries {wire.num_executors} "
+        if schedule.num_executors != k:
+            raise ValueError(f"schedule covers {schedule.num_executors} "
                              f"executors, cluster has {k}")
-        if model_size < k:
-            raise ValueError(
-                f"cannot run {phase} with a model of size {model_size} "
-                f"across {k} executors: each owner needs at least one "
-                "coordinate (num_executors > model_size)")
-        piece = model_size / k
-        net = self.cluster.network
-        compute = self.cluster.compute
-        net_slow = self._net_slowdown(step)
-        dense_send = (self.shuffle.round_seconds(self.cluster, k - 1,
-                                                 piece) * net_slow)
+        cluster = self.cluster
+        slow = self._net_slowdown(step)
+        tree = schedule.tail is not None
+        phase = "aggregate" if tree else schedule.phase
         start = self.now
-        n = len(wire.groups)
-        is_leader = [False] * k
-        members_of = [0] * k
-        ingress_of = [0.0] * k  # leader's member-drain cost (RS)
-        for group in wire.groups:
-            leader = group[0]
-            is_leader[leader] = True
-            members_of[leader] = len(group) - 1
-            ingress_of[leader] = sum(net.intra_transfer_seconds(v)
-                                     for e in group[1:]
-                                     for v in wire.intra_sends[e])
-        finish: list[float] = []
-        net_times: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            node = self.cluster.executors[i]
-            intra_send = (sum(net.intra_transfer_seconds(v)
-                              for v in wire.intra_sends[i]) * net_slow)
-            segments: _Segments = []
-            if is_leader[i]:
-                cross_row = wire.cross_sends[i]
-                cross_send = (net.fan_in_varied_seconds(cross_row)
-                              * net_slow if cross_row else 0.0)
-                if phase == "reduce_scatter":
-                    # Drain the members, fold the group, then exchange
-                    # node-slices with the other leaders and fold those.
-                    intra_ingress = ingress_of[i] * net_slow
-                    if intra_ingress > 0:
-                        segments.append((intra_ingress, "recv"))
-                    intra_combine = (compute.dense_op_seconds(
-                        members_of[i] * model_size, node)
-                        if members_of[i] else 0.0)
-                    if intra_combine > 0:
-                        segments.append((intra_combine, "aggregate"))
-                    segments.append((cross_send, "send"))
-                    if combine_coords > 0:
-                        segments.append((compute.dense_op_seconds(
-                            model_size / n * n, node), "aggregate"))
-                    net_time = intra_ingress + cross_send
-                else:
-                    # Exchange node-slices, then fan the model out to
-                    # the members over the intra tier.
-                    segments.append((cross_send, "send"))
-                    if intra_send > 0:
-                        segments.append((intra_send, "send"))
-                    net_time = cross_send + intra_send
-            else:
-                if phase == "reduce_scatter":
-                    segments.append((intra_send, "send"))
-                    net_time = intra_send
-                else:
-                    net_time = 0.0  # members only receive the fan-out
-            if self.faults.enabled:
-                combine = (compute.dense_op_seconds(combine_coords, node)
-                           if combine_coords > 0 else 0.0)
-                refill = (net.fan_in_seconds(k - 1, piece) * net_slow)
-                retry: _Segments = ([] if redo_seconds is None
-                                    else [(redo_seconds[i], "compute")])
-                retry = retry + [(refill, "recv")]
-                if combine > 0:
-                    retry.append((combine, "aggregate"))
-                end = self._attempt_run(i, start, segments, retry, step,
-                                        phase)
-            else:
-                end = start
-                for seconds, kind in segments:
-                    if seconds > 0:
-                        self.trace.add(label, end, end + seconds, kind,
-                                       step)
-                    end += seconds
-            finish.append(end)
-            net_times.append(net_time)
-        barrier = max(finish, default=start)
-        for i, end in enumerate(finish):
-            self._wait_fill(executor_label(i), end, barrier, step)
-        self._wait_fill(DRIVER_LABEL, start, barrier, step)
-        self.comm_records.append(CommRecord(
-            step=step, phase=phase, dense_values=wire.dense_values,
-            wire_values=wire.wire_values,
-            seconds=max(net_times, default=0.0),
-            dense_seconds=dense_send))
-        self.now = barrier
-        return barrier - start
-
-    def _switch_all_to_all(self, model_size: int, step: int, phase: str,
-                           redo_seconds: list[float] | None,
-                           wire: "SwitchWire") -> float:
-        """One in-network collective round: all links stream at line
-        rate through the switch, which folds chunks in its slot pool.
-
-        Combine compute is absorbed by the switch (that is the point of
-        in-network aggregation); running out of pool slots adds one
-        latency per extra stall round and nothing else.  Fault recovery
-        redoes the owner's local work and re-streams through the switch.
-        """
-        from ..collectives.innetwork import switch_stream_seconds
-        k = self.num_executors
-        if wire.num_senders != k:
-            raise ValueError(f"wire carries {wire.num_senders} senders, "
-                             f"cluster has {k}")
-        if model_size < k:
-            raise ValueError(
-                f"cannot run {phase} with a model of size {model_size} "
-                f"across {k} executors: each owner needs at least one "
-                "coordinate (num_executors > model_size)")
-        piece = model_size / k
-        net = self.cluster.network
-        net_slow = self._net_slowdown(step)
-        dense_send = (self.shuffle.round_seconds(self.cluster, k - 1,
-                                                 piece) * net_slow)
-        start = self.now
-        stream = (switch_stream_seconds(net, wire.values_per_link,
-                                        wire.chunk_values,
-                                        wire.pool_slots) * net_slow)
-        kind = "send" if phase == "reduce_scatter" else "recv"
+        level1 = schedule.level1_seconds(cluster)
+        level1_end = start + level1 * slow
+        delay = 0.0
         finish: list[float] = []
         for i in range(k):
-            label = executor_label(i)
-            segments: _Segments = [(stream, kind)]
-            if self.faults.enabled:
-                retry: _Segments = ([] if redo_seconds is None
-                                    else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        retry + segments, step, phase)
+            node = cluster.executors[i]
+            segments = schedule.segments[i]
+            if not tree:
+                work = self._priced(schedule, segments, node, slow)
+            elif segments[0].kind == "aggregate":
+                work = [(level1_end - start, "aggregate", 0.0)]
             else:
-                end = start + stream
-                if stream > 0:
-                    self.trace.add(label, start, end, kind, step,
-                                   values=wire.values_per_link)
+                seconds = schedule.seconds(segments, cluster, node)
+                work = [(seconds * slow, segments[0].kind,
+                         segments[0].values)]
+            retry = (work if schedule.retry is None else
+                     self._priced(schedule, schedule.retry[i], node, slow))
+            if redo_seconds is not None:
+                retry = [(redo_seconds[i], "compute", 0.0)] + retry
+            end = self._attempt_run(i, start, work, retry, step, phase)
             finish.append(end)
-        barrier = max(finish, default=start)
-        for i, end in enumerate(finish):
-            self._wait_fill(executor_label(i), end, barrier, step)
-        self._wait_fill(DRIVER_LABEL, start, barrier, step)
+            if tree:
+                delay = max(delay, end - (start + work[0][0]))
+                if work[0][1] != "aggregate":
+                    self._wait_fill(executor_label(i), end, level1_end,
+                                    step)
+        if tree:
+            tail = schedule.tail_seconds(cluster)
+            driver_start = level1_end + delay
+            end = driver_start + tail * slow
+            self._span(DRIVER_LABEL, driver_start, end, "aggregate", step,
+                       sum(seg.values for seg in schedule.tail or ()))
+            for i in range(k):
+                busy_until = (max(level1_end, finish[i])
+                              if self.faults.enabled else level1_end)
+                self._wait_fill(executor_label(i), busy_until, end, step)
+        else:
+            end = max(finish, default=start)
+            for i, done in enumerate(finish):
+                self._wait_fill(executor_label(i), done, end, step)
+            self._wait_fill(DRIVER_LABEL, start, end, step)
+        dense = schedule.dense if schedule.dense is not None else schedule
         self.comm_records.append(CommRecord(
-            step=step, phase=phase, dense_values=wire.dense_values,
-            wire_values=wire.wire_values, seconds=stream,
-            dense_seconds=dense_send))
-        self.now = barrier
-        return barrier - start
-
-    def reduce_scatter_phase(self, model_size: int, step: int,
-                             redo_seconds: list[float] | None = None,
-                             wire: "CommStats | None" = None) -> float:
-        """MLlib* phase 1: route partitions to owners and average them."""
-        k = self.num_executors
-        combine = model_size / k * k  # owner sums k pieces of its partition
-        return self._all_to_all_phase(model_size, step, "reduce_scatter",
-                                      combine, redo_seconds, wire=wire)
-
-    def all_gather_phase(self, model_size: int, step: int,
-                         redo_seconds: list[float] | None = None,
-                         wire: "CommStats | None" = None) -> float:
-        """MLlib* phase 2: owners broadcast their averaged partition."""
-        return self._all_to_all_phase(model_size, step, "all_gather", 0.0,
-                                      redo_seconds, wire=wire)
+            step=step, phase=schedule.phase,
+            dense_values=schedule.dense_values,
+            wire_values=schedule.wire_values,
+            seconds=schedule.comm_seconds(cluster, slow),
+            dense_seconds=dense.comm_seconds(cluster, slow)))
+        self.now = end
+        return end - start
 
     # ------------------------------------------------------------------
     def checkpoint_phase(self, model_size: int, step: int) -> float:

@@ -6,59 +6,22 @@ IV-B2): Reduce-Scatter is a shuffle where executor ``r`` sends model
 partition ``i`` to executor ``i``; AllGather is a shuffle where executor
 ``r`` sends its owned partition to everyone.
 
-:class:`ShuffleModel` prices one shuffle round.  All executors send and
-receive concurrently on their own links, so a round costs what the busiest
-endpoint pays: ``messages * (alpha + size/bandwidth)`` — contrast with the
-driver fan-in of :mod:`repro.engine.aggregation`, which serializes all ``k``
-transfers through one node.
-
 :func:`exchange` performs the actual data movement on real Python values so
-the numerical trainers and the tests can verify routing correctness.
+the numerical trainers and the tests can verify routing correctness.  A
+round's cost is priced separately, by its
+:class:`~repro.collectives.Schedule`: all executors send and receive
+concurrently on their own links, so a round costs what the busiest
+endpoint pays — contrast with the driver fan-in of MLlib's
+treeAggregate, which serializes all ``k`` transfers through one node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TypeVar
 
-from ..cluster import ClusterSpec
-
-__all__ = ["ShuffleModel", "exchange"]
+__all__ = ["exchange"]
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class ShuffleModel:
-    """Cost model for balanced all-to-all shuffle rounds."""
-
-    def round_seconds(self, cluster: ClusterSpec, messages_per_node: int,
-                      values_per_message: float) -> float:
-        """Cost of one round where every executor sends ``messages_per_node``
-        messages of ``values_per_message`` coordinates.
-
-        Uplink serialization applies per node, but nodes proceed in
-        parallel, so the round costs one node's worth of transfers.
-        """
-        if messages_per_node < 0:
-            raise ValueError("messages_per_node must be non-negative")
-        net = cluster.network
-        return messages_per_node * net.transfer_seconds(values_per_message)
-
-    def sender_seconds(self, cluster: ClusterSpec,
-                       message_values: tuple[float, ...] | list[float]) -> float:
-        """Cost of one node's sends when its messages differ in size.
-
-        The nnz-aware variant of :meth:`round_seconds`: sparse payloads
-        make every message's wire size depend on its support, so a
-        sender's uplink cost is the sum of its individually priced
-        transfers.  With equal sizes this equals
-        ``round_seconds(cluster, len(message_values), size)`` exactly.
-        A node with nothing to send (a one-executor shuffle) costs 0.0.
-        """
-        if len(message_values) == 0:
-            return 0.0
-        return cluster.network.fan_in_varied_seconds(message_values)
 
 
 def exchange(outboxes: list[dict[int, T]],
@@ -67,7 +30,7 @@ def exchange(outboxes: list[dict[int, T]],
 
     Returns ``inboxes`` where ``inboxes[dst]`` collects payloads addressed
     to ``dst`` in ascending source order.  This is the data-plane of the
-    shuffle; cost accounting is separate (:class:`ShuffleModel`).
+    shuffle; cost accounting is separate (its schedule).
     """
     k = num_workers if num_workers is not None else len(outboxes)
     if k < 1:

@@ -109,13 +109,20 @@ class CommReport:
 
 
 def comm_report(result) -> CommReport:
-    """Summarize a ``TrainResult``'s communication wire accounting."""
+    """Summarize a ``TrainResult``'s communication wire accounting.
+
+    Totals are plain left-to-right sums, so a report reproduces bit for
+    bit on every Python version (``sum`` of floats compensates from 3.12).
+    """
     records = result.comm
     by_phase: dict[str, list[float]] = {}
+    seconds = dense_seconds = 0.0
     for r in records:
         totals = by_phase.setdefault(r.phase, [0.0, 0.0])
         totals[0] += r.dense_values
         totals[1] += r.wire_values
+        seconds += r.seconds
+        dense_seconds += r.dense_seconds
     steps = len({r.step for r in records})
     return CommReport(
         system=result.history.system,
@@ -123,8 +130,8 @@ def comm_report(result) -> CommReport:
         steps=steps,
         dense_values=sum(r.dense_values for r in records),
         wire_values=sum(r.wire_values for r in records),
-        comm_seconds=sum(r.seconds for r in records),
-        dense_comm_seconds=sum(r.dense_seconds for r in records),
+        comm_seconds=seconds,
+        dense_comm_seconds=dense_seconds,
         by_phase=tuple((phase, totals[0], totals[1])
                        for phase, totals in by_phase.items()))
 

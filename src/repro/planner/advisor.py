@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import ClusterSpec
-from ..engine import BroadcastModel, ShuffleModel, TreeAggregateModel
+from ..collectives import Topology, flat_exchange, tree_fan_in_wire
+from ..engine import BroadcastModel
 from ..ps.engine import PsEngine
 
 __all__ = ["StepCost", "WorkloadProfile", "estimate_step_cost",
@@ -75,13 +76,15 @@ def _sendgradient_cost(cluster: ClusterSpec,
     compute = cluster.compute.sparse_pass_seconds(
         2 * profile.nnz_per_step_per_worker,
         cluster.executors[0]) / slowest
-    timing = TreeAggregateModel().timing(cluster, profile.model_size)
+    tree = tree_fan_in_wire(Topology.of(cluster), profile.model_size)
+    aggregators = tree.level1_seconds(cluster)
+    driver = tree.tail_seconds(cluster)
     update = cluster.compute.dense_op_seconds(profile.model_size,
                                               cluster.driver)
     broadcast = BroadcastModel().seconds(cluster, profile.model_size)
     return StepCost(system="MLlib", compute=compute,
-                    communication=timing.aggregator_seconds + broadcast,
-                    driver=timing.driver_seconds + update)
+                    communication=aggregators + broadcast,
+                    driver=driver + update)
 
 
 def _sendmodel_driver_cost(cluster: ClusterSpec,
@@ -99,10 +102,9 @@ def _allreduce_cost(cluster: ClusterSpec,
     compute = cluster.compute.sparse_pass_seconds(
         2 * profile.nnz_per_step_per_worker,
         cluster.executors[0]) / slowest
-    k = cluster.num_executors
-    shuffle = ShuffleModel()
-    piece = profile.model_size / k
-    comm = 2 * shuffle.round_seconds(cluster, k - 1, piece)
+    round_ = flat_exchange("reduce_scatter", Topology.of(cluster),
+                           profile.model_size)
+    comm = 2 * round_.comm_seconds(cluster)
     combine = cluster.compute.dense_op_seconds(profile.model_size,
                                                cluster.executors[0])
     return StepCost(system="MLlib*", compute=compute + combine,

@@ -67,17 +67,23 @@ class TestWaves:
 
     def test_tree_timing_scales_with_messages(self):
         from repro.cluster import cluster1
-        model = TreeAggregateModel(depth=2)
+        from repro.collectives import Topology, tree_fan_in_wire
         cluster = cluster1()
-        one = model.timing(cluster, 100_000, messages_per_executor=1)
-        four = model.timing(cluster, 100_000, messages_per_executor=4)
-        assert four.aggregator_seconds > 2 * one.aggregator_seconds
+        topology = Topology.of(cluster, TreeAggregateModel(depth=2))
+        one = tree_fan_in_wire(topology, 100_000,
+                               messages_per_executor=1
+                               ).level1_seconds(cluster)
+        four = tree_fan_in_wire(topology, 100_000,
+                                messages_per_executor=4
+                                ).level1_seconds(cluster)
+        assert four > 2 * one
 
     def test_tree_timing_rejects_zero_messages(self):
         from repro.cluster import cluster1
+        from repro.collectives import Topology, tree_fan_in_wire
         with pytest.raises(ValueError):
-            TreeAggregateModel().timing(cluster1(), 100,
-                                        messages_per_executor=0)
+            tree_fan_in_wire(Topology.of(cluster1()), 100,
+                             messages_per_executor=0)
 
     def test_more_waves_more_time(self, ds, small_cluster):
         obj = Objective("hinge")

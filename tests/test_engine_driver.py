@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import cluster1, cluster2
+from repro.collectives import Topology, flat_exchange, tree_fan_in_wire
 from repro.engine import BspEngine, executor_label
 from repro.engine.driver import DRIVER_LABEL
 
@@ -10,6 +11,21 @@ from repro.engine.driver import DRIVER_LABEL
 @pytest.fixture
 def engine():
     return BspEngine(cluster1(executors=4))
+
+
+def tree_aggregate(engine, m, step):
+    """Price one dense flat treeAggregate of size-``m`` vectors."""
+    topology = Topology.of(engine.cluster, engine.tree)
+    return engine.collective_phase(tree_fan_in_wire(topology, m), step)
+
+
+def all_reduce(engine, m, step):
+    """Price one dense flat Reduce-Scatter + AllGather."""
+    topology = Topology.of(engine.cluster)
+    return (engine.collective_phase(
+        flat_exchange("reduce_scatter", topology, m), step)
+        + engine.collective_phase(
+            flat_exchange("all_gather", topology, m), step))
 
 
 class TestComputePhase:
@@ -53,12 +69,12 @@ class TestComputePhase:
 class TestAggregateUpdateBroadcast:
     def test_tree_aggregate_advances_clock(self, engine):
         before = engine.now
-        dur = engine.tree_aggregate_phase(100_000, step=0)
+        dur = tree_aggregate(engine, 100_000, step=0)
         assert dur > 0
         assert engine.now == pytest.approx(before + dur)
 
     def test_tree_aggregate_emits_driver_span(self, engine):
-        engine.tree_aggregate_phase(100_000, step=0)
+        tree_aggregate(engine, 100_000, step=0)
         driver_spans = engine.trace.spans_for(DRIVER_LABEL)
         assert any(s.kind == "aggregate" for s in driver_spans)
 
@@ -87,30 +103,30 @@ class TestAllReducePhases:
         cluster = cluster1(executors=8)
         m = 5_000_000
         star = BspEngine(cluster)
-        t_star = (star.reduce_scatter_phase(m, 0)
-                  + star.all_gather_phase(m, 0))
+        t_star = all_reduce(star, m, 0)
         mllib = BspEngine(cluster)
-        t_mllib = (mllib.tree_aggregate_phase(m, 0)
+        t_mllib = (tree_aggregate(mllib, m, 0)
                    + mllib.broadcast_phase(m, 0))
         assert t_star < t_mllib / 2
 
     def test_no_driver_activity(self):
         engine = BspEngine(cluster1(executors=4))
-        engine.reduce_scatter_phase(10_000, 0)
-        engine.all_gather_phase(10_000, 0)
+        all_reduce(engine, 10_000, 0)
         busy = engine.trace.busy_seconds(DRIVER_LABEL)
         assert busy == 0.0
 
     def test_all_executors_send(self):
         engine = BspEngine(cluster1(executors=4))
-        engine.reduce_scatter_phase(10_000, 0)
+        engine.collective_phase(flat_exchange(
+            "reduce_scatter", Topology.of(engine.cluster), 10_000), 0)
         for i in range(4):
             spans = engine.trace.spans_for(executor_label(i))
             assert any(s.kind == "send" for s in spans)
 
     def test_reduce_scatter_includes_combine(self):
         engine = BspEngine(cluster1(executors=4))
-        engine.reduce_scatter_phase(10_000, 0)
+        engine.collective_phase(flat_exchange(
+            "reduce_scatter", Topology.of(engine.cluster), 10_000), 0)
         kinds = {s.kind for s in engine.trace.spans}
         assert "aggregate" in kinds
 

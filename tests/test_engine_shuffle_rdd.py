@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import cluster1
+from repro.collectives import Segment, Topology, flat_exchange
 from repro.data import SyntheticSpec, generate
 from repro.engine import PartitionedDataset
-from repro.engine.shuffle import ShuffleModel, exchange
+from repro.engine.shuffle import exchange
 
 
 class TestExchange:
@@ -35,18 +36,25 @@ class TestExchange:
 
 
 class TestShuffleModel:
+    """Pricing of one shuffle round through its flat schedule."""
+
     def test_round_cost(self):
         cluster = cluster1()
-        model = ShuffleModel()
+        round_ = flat_exchange("reduce_scatter", Topology.of(cluster), 8000)
         one = cluster.network.transfer_seconds(1000)
-        assert model.round_seconds(cluster, 7, 1000) == pytest.approx(7 * one)
+        assert round_.comm_seconds(cluster) == 7 * one
 
     def test_zero_messages_free(self):
-        assert ShuffleModel().round_seconds(cluster1(), 0, 1000) == 0.0
+        cluster = cluster1(executors=1)
+        round_ = flat_exchange("all_gather", Topology.of(cluster), 1000)
+        assert round_.comm_seconds(cluster) == 0.0
 
     def test_rejects_negative(self):
+        cluster = cluster1()
+        round_ = flat_exchange("all_gather", Topology.of(cluster), 80)
         with pytest.raises(ValueError):
-            ShuffleModel().round_seconds(cluster1(), -1, 10)
+            round_.segment_seconds(Segment("cross", "send", ((-10.0, 1),)),
+                                   cluster, cluster.executors[0])
 
 
 class TestPartitionedDataset:

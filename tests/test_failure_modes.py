@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import (ClusterSpec, LogNormalStragglers, cluster1,
                            homogeneous_nodes)
+from repro.collectives import Topology, tree_fan_in_wire
 from repro.core import (MLlibStarTrainer, MLlibTrainer, TrainerConfig)
 from repro.data import SyntheticSpec, generate
 from repro.engine import BspEngine
@@ -106,7 +107,8 @@ class TestEngineInvariants:
             engine.compute_phase([0.1, 0.2, 0.0, 0.3], step)
             assert engine.now >= last
             last = engine.now
-            engine.tree_aggregate_phase(1000, step)
+            engine.collective_phase(tree_fan_in_wire(
+                Topology.of(engine.cluster), 1000), step)
             assert engine.now >= last
             last = engine.now
             engine.broadcast_phase(1000, step)

@@ -370,12 +370,12 @@ class TestTooManyExecutors:
             trainer.fit(self.narrow_dataset())
 
     def test_engine_level_guard(self, small_cluster):
-        from repro.engine import BspEngine
-        engine = BspEngine(small_cluster)
+        from repro.collectives import Topology, flat_exchange
+        topology = Topology.of(small_cluster)
         with pytest.raises(ValueError, match="num_executors > model_size"):
-            engine.reduce_scatter_phase(3, step=1)
+            flat_exchange("reduce_scatter", topology, 3)
         with pytest.raises(ValueError, match="num_executors > model_size"):
-            engine.all_gather_phase(2, step=1)
+            flat_exchange("all_gather", topology, 2)
 
     def test_mllib_unaffected(self, small_cluster):
         """SendGradient has no per-owner partitioning: small models fine."""

@@ -10,8 +10,9 @@ Four families of guarantees:
   combining, so their outputs equal the dense collectives *bit for bit*
   under every mode, density and worker count (hypothesis sweeps).
 * **Pricing** — nnz-aware wire sizes flow through the engines: sparse
-  wires shorten the priced phases, ``wire=None`` keeps every duration
-  bit-identical to the dense engine, and on a 1%-density workload the
+  schedules shorten the priced phases, ``mode='off'`` keeps every
+  duration bit-identical to the dense schedule, and on a 1%-density
+  workload the
   priced communication seconds per superstep drop >= 5x under
   ``sparse_comm='auto'`` while the numerics match the golden run exactly.
 * **Bugfix regressions** — silently-ignored AllReduce weights, non-finite
@@ -32,11 +33,12 @@ from hypothesis import strategies as st
 from repro.cli import build_parser
 from repro.cluster import (GIGABIT, ClusterSpec, NetworkModel, cluster1,
                            homogeneous_nodes)
-from repro.collectives import (CommStats, SparsePayload, all_gather,
-                               combine_weight_scale, encode, materialize,
-                               payload_wire_values, reduce_scatter,
-                               sparse_all_gather, sparse_reduce_scatter,
-                               tree_fan_in_wire, wire_values)
+from repro.collectives import (SparsePayload, Topology, all_gather,
+                               combine_weight_scale, encode, flat_exchange,
+                               materialize, payload_wire_values,
+                               reduce_scatter, sparse_all_gather,
+                               sparse_reduce_scatter, tree_fan_in_wire,
+                               wire_values)
 from repro.core import MLlibStarTrainer, TrainerConfig
 from repro.data import SyntheticSpec, generate, write_libsvm
 from repro.engine import BspEngine, TreeAggregateModel
@@ -49,6 +51,12 @@ from data.make_golden import SYSTEMS as GOLDEN_SYSTEMS
 from data.make_golden import golden_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_convergence.json"
+
+
+def _topo(k: int, depth: int = 1) -> Topology:
+    """``k`` executors on ``k`` machines, treeAggregate of ``depth``."""
+    return Topology(tuple((i,) for i in range(k)),
+                    TreeAggregateModel(depth=depth).groups(k))
 
 
 # ----------------------------------------------------------------------
@@ -145,8 +153,8 @@ class TestSparseCollectivesBitIdentity:
     @settings(max_examples=80, deadline=None)
     def test_reduce_scatter_matches_dense_bit_for_bit(self, models, mode):
         dense = reduce_scatter([m.copy() for m in models], combine="average")
-        sparse, stats = sparse_reduce_scatter(models, combine="average",
-                                              mode=mode)
+        sparse, stats = sparse_reduce_scatter(models, _topo(len(models)),
+                                              combine="average", mode=mode)
         assert len(sparse) == len(dense)
         for got, want in zip(sparse, dense):
             assert got.tobytes() == want.tobytes()
@@ -160,7 +168,8 @@ class TestSparseCollectivesBitIdentity:
         partitions = reduce_scatter([v.copy() for v in models],
                                     combine="average")
         want = all_gather([p.copy() for p in partitions], m)
-        got, stats = sparse_all_gather(partitions, m, mode=mode)
+        got, stats = sparse_all_gather(partitions, _topo(len(models)), m,
+                                       mode=mode)
         assert got.tobytes() == want.tobytes()
         assert stats.phase == "all_gather"
 
@@ -170,7 +179,8 @@ class TestSparseCollectivesBitIdentity:
         weights = [float(i + 1) for i in range(len(models))]
         dense = reduce_scatter([m.copy() for m in models],
                                combine="weighted", weights=weights)
-        sparse, _ = sparse_reduce_scatter(models, combine="weighted",
+        sparse, _ = sparse_reduce_scatter(models, _topo(len(models)),
+                                          combine="weighted",
                                           weights=weights, mode="auto")
         for got, want in zip(sparse, dense):
             assert got.tobytes() == want.tobytes()
@@ -178,26 +188,30 @@ class TestSparseCollectivesBitIdentity:
     @given(models=sparse_worker_models())
     @settings(max_examples=40, deadline=None)
     def test_auto_never_prices_above_dense(self, models):
-        _, rs = sparse_reduce_scatter(models, mode="auto")
+        _, rs = sparse_reduce_scatter(models, _topo(len(models)),
+                                      mode="auto")
         assert rs.wire_values <= rs.dense_values
-        assert rs.compression >= 1.0
 
 
 class TestCommStatsShape:
+    """Shape of the flat schedule's per-sender messages."""
+
     def test_per_sender_excludes_the_owned_slice(self):
         models = [np.ones(8) for _ in range(4)]
-        _, stats = sparse_reduce_scatter(models, mode="off")
-        assert len(stats.per_sender) == 4
-        assert all(len(row) == 3 for row in stats.per_sender)
-        # Dense mode: every message is a full slice of m/k = 2 values.
+        _, stats = sparse_reduce_scatter(models, _topo(4), mode="off")
+        assert len(stats.segments) == 4
+        # Dense mode: every sender ships one run of k - 1 = 3 messages
+        # of a full slice (m/k = 2 values).
+        assert all(segs[0].runs == ((2.0, 3),) for segs in stats.segments)
         assert stats.wire_values == stats.dense_values == 4 * 3 * 2.0
 
     def test_all_gather_ships_each_partition_to_every_peer(self):
         partitions = [np.zeros(2), np.zeros(2)]
         partitions[0][0] = 1.0
-        _, stats = sparse_all_gather(partitions, 4, mode="on")
+        _, stats = sparse_all_gather(partitions, _topo(2), 4, mode="on")
         # Owner 0: nnz 1 -> 2 wire values; owner 1: empty -> 0.
-        assert stats.per_sender == ((2.0,), (0.0,))
+        assert [segs[0].runs for segs in stats.segments] == [
+            ((2.0, 1),), ((0.0, 1),)]
         assert stats.dense_values == 4.0
 
 
@@ -213,7 +227,8 @@ class TestWeightValidation:
                            "combine='weighted'"):
             reduce_scatter(models, combine="average", weights=[1.0, 3.0])
         with pytest.raises(ValueError, match="only valid"):
-            sparse_reduce_scatter(models, combine="sum", weights=[1.0, 3.0])
+            sparse_reduce_scatter(models, _topo(2), combine="sum",
+                                  weights=[1.0, 3.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
@@ -243,32 +258,34 @@ class TestTreeFanInWire:
 
     def test_depth2_counts_network_messages_only(self):
         k, m, nnz = 4, 37, 3
-        tree = TreeAggregateModel(depth=2)
-        wire = tree_fan_in_wire(self._vectors(k, m, nnz), tree.plan(k),
-                                m, "on")
+        wire = tree_fan_in_wire(_topo(k, depth=2), m, "on",
+                                self._vectors(k, m, nnz))
         # a = 2 aggregators; executors 2 and 3 cross the network (their
-        # own vectors would be local on aggregators 0 and 1).
-        assert wire.leaf_values == ((6.0,), (6.0,), (6.0,), (6.0,))
+        # own vectors are local on aggregators 0 and 1, which drain them).
+        assert wire.level1 == (0, 1)
+        assert [wire.segments[e][0].runs for e in (2, 3)] == [
+            ((6.0, 1),), ((6.0, 1),)]
+        assert wire.segments[0][0].runs == ((6.0, 1),)
         # Each aggregator's partial carries the union of its group's two
         # disjoint supports: 2 * (2 * nnz) wire values.
-        assert wire.partial_values == (12.0, 12.0)
+        assert wire.tail[0].runs == ((12.0, 1), (12.0, 1))
         assert wire.wire_values == 6.0 * 2 + 12.0 * 2
         assert wire.dense_values == float(m) * (2 + 2)
 
     def test_depth1_every_leaf_crosses(self):
         k, m, nnz = 4, 37, 3
-        tree = TreeAggregateModel(depth=1)
-        wire = tree_fan_in_wire(self._vectors(k, m, nnz), tree.plan(k),
-                                m, "on")
-        assert wire.partial_values == ()
+        wire = tree_fan_in_wire(_topo(k), m, "on",
+                                self._vectors(k, m, nnz))
+        assert wire.level1 == ()
+        assert wire.tail[0].runs == ((6.0, 1),) * 4
         assert wire.wire_values == 6.0 * 4
         assert wire.dense_values == float(m) * 4
 
     def test_off_mode_prices_dense(self):
         k, m = 3, 12
-        wire = tree_fan_in_wire(self._vectors(k, m, 1), {}, m, "off")
+        wire = tree_fan_in_wire(_topo(k), m, "off", self._vectors(k, m, 1))
         assert wire.wire_values == wire.dense_values == float(m) * 3
-        assert wire.compression == 1.0
+        assert wire.tail[0].runs == ((m, 3),)
 
 
 # ----------------------------------------------------------------------
@@ -286,17 +303,18 @@ class TestEnginePricing:
     def test_shuffle_wire_shortens_reduce_scatter(self):
         m, k = 1000, 4
         cluster = _flat_cluster(k)
-        sizes = [m // k - (m // k) // 2] * (k - 1)
-        wire = CommStats(phase="reduce_scatter",
-                         dense_values=float((k - 1) * m),
-                         wire_values=float(sum(sizes) * k),
-                         per_sender=tuple(tuple(float(s) for s in sizes)
-                                          for _ in range(k)))
+        # A quarter of every slice is non-zero: index/value pairs halve
+        # each message.
+        models = [np.zeros(m) for _ in range(k)]
+        for model in models:
+            model[::4] = 1.0
+        topology = Topology.of(cluster)
+        wire = flat_exchange("reduce_scatter", topology, m, "on", models)
         dense_engine = BspEngine(cluster)
         sparse_engine = BspEngine(cluster)
-        dense_seconds = dense_engine.reduce_scatter_phase(m, step=1)
-        sparse_seconds = sparse_engine.reduce_scatter_phase(m, step=1,
-                                                           wire=wire)
+        dense_seconds = dense_engine.collective_phase(
+            flat_exchange("reduce_scatter", topology, m), step=1)
+        sparse_seconds = sparse_engine.collective_phase(wire, step=1)
         assert sparse_seconds < dense_seconds
         record = sparse_engine.comm_records[-1]
         assert record.phase == "reduce_scatter"
@@ -312,12 +330,13 @@ class TestEnginePricing:
             vec = np.zeros(m)
             vec[e * 10:(e + 1) * 10] = 1.0
             vectors.append([vec])
-        wire = tree_fan_in_wire(vectors, tree.plan(k), m, "auto")
+        topology = Topology.of(cluster, tree)
+        wire = tree_fan_in_wire(topology, m, "auto", vectors)
         dense_engine = BspEngine(cluster, tree=tree)
         sparse_engine = BspEngine(cluster, tree=tree)
-        dense_seconds = dense_engine.tree_aggregate_phase(m, step=1)
-        sparse_seconds = sparse_engine.tree_aggregate_phase(m, step=1,
-                                                           wire=wire)
+        dense_seconds = dense_engine.collective_phase(
+            tree_fan_in_wire(topology, m), step=1)
+        sparse_seconds = sparse_engine.collective_phase(wire, step=1)
         assert sparse_seconds < dense_seconds
         record = sparse_engine.comm_records[-1]
         assert record.phase == "tree_aggregate"
@@ -325,28 +344,28 @@ class TestEnginePricing:
         assert record.speedup > 1.0
 
     def test_no_wire_is_bit_identical_to_the_dense_engine(self):
-        """The default path must not move by a single ulp: pricing without
-        a wire reproduces the pre-sparse engine exactly."""
+        """The default path must not move by a single ulp: the sparse
+        collective under ``mode='off'`` prices as the dense schedule."""
         m, k = 480, 4
         cluster_a, cluster_b = cluster1(executors=k), cluster1(executors=k)
         a, b = BspEngine(cluster_a), BspEngine(cluster_b)
-        dense_values = float((k - 1) * m)
-        wire = CommStats(phase="reduce_scatter", dense_values=dense_values,
-                         wire_values=dense_values,
-                         per_sender=tuple(tuple([m / k] * (k - 1))
-                                          for _ in range(k)))
-        seconds_a = a.reduce_scatter_phase(m, step=1)
-        seconds_b = b.reduce_scatter_phase(m, step=1, wire=wire)
-        # A dense-shaped wire prices identically; None skips the wire
-        # entirely and must match too.
+        topology = Topology.of(cluster_a)
+        models = [np.arange(m, dtype=float) for _ in range(k)]
+        _, off = sparse_reduce_scatter(models, topology, mode="off")
+        seconds_a = a.collective_phase(
+            flat_exchange("reduce_scatter", topology, m), step=1)
+        seconds_b = b.collective_phase(off, step=1)
+        assert off.dense is None
         assert seconds_a == seconds_b
         assert a.comm_records[0].seconds == b.comm_records[0].seconds
         assert a.now == b.now
 
     def test_traffic_lands_in_trace_values(self):
         m, k = 1000, 4
-        engine = BspEngine(_flat_cluster(k))
-        engine.all_gather_phase(m, step=1)
+        cluster = _flat_cluster(k)
+        engine = BspEngine(cluster)
+        engine.collective_phase(
+            flat_exchange("all_gather", Topology.of(cluster), m), step=1)
         total = engine.trace.traffic_values(step=1)
         # Every executor ships its k-1 pieces of m/k coordinates.
         assert total == pytest.approx(k * (k - 1) * (m / k))

@@ -12,8 +12,8 @@ Locks down the aggregation ladder (``--collective flat|hier|switch``):
 * the exact SparCML break-even (``2 * nnz == m``) is a tested ``<`` /
   ``<=`` contract for both the payload encoder and the in-network
   fallback;
-* regression coverage for the empty fan-in :class:`ValueError` and the
-  tiered-bandwidth validation this PR added.
+* regression coverage for the one-executor shuffle and the
+  tiered-bandwidth validation.
 """
 
 from __future__ import annotations
@@ -29,17 +29,18 @@ from data.make_golden import SYSTEMS, golden_workload
 from repro.cli import build_parser
 from repro.cluster import (ClusterSpec, NetworkModel, TieredNetworkModel,
                            cluster1, tiered_cluster)
-from repro.collectives import (SparsePayload, all_gather, encode,
-                               hier_all_gather, hier_dense_wire,
+from repro.collectives import (Segment, SparsePayload, Topology,
+                               all_gather, encode, flat_exchange,
+                               hier_all_gather, hier_exchange,
                                hier_reduce_scatter, hier_tree_fan_in,
                                reduce_scatter, sparse_all_gather,
                                sparse_reduce_scatter, switch_all_gather,
-                               switch_dense_wire, switch_reduce_scatter,
+                               switch_exchange, switch_reduce_scatter,
                                switch_rounds, switch_stream_seconds,
                                switch_tree_fan_in, traffic_values,
-                               tree_fan_in_wire, wire_values)
+                               wire_values)
 from repro.core import TrainerConfig
-from repro.engine import BspEngine, ShuffleModel
+from repro.engine import BspEngine
 from repro.glm import Objective
 
 # ----------------------------------------------------------------------
@@ -65,6 +66,26 @@ def _contiguous_groups(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
         groups.append(tuple(range(base, base + size)))
         base += size
     return tuple(groups)
+
+
+def _topology(groups, tree_groups=(), pool_slots=512, chunk_values=256):
+    return Topology(groups, tree_groups, pool_slots, chunk_values)
+
+
+def _singletons(k: int) -> Topology:
+    return _topology(tuple((i,) for i in range(k)))
+
+
+def _tier_values(schedule, tier: str) -> float:
+    """Values the schedule moves on one tier."""
+    segments = [seg for segs in schedule.segments for seg in segs]
+    segments += list(schedule.tail or ())
+    return sum(seg.values for seg in segments if seg.tier == tier)
+
+
+def _in_network(schedule) -> bool:
+    """Whether the switch carried the phase (no host sparse fallback)."""
+    return schedule.segments[0][0].tier == "switch"
 
 
 @st.composite
@@ -96,12 +117,13 @@ class TestBitIdentity:
         flat_parts = reduce_scatter(models, combine=combine,
                                     weights=weights)
         hier_parts, rs_wire = hier_reduce_scatter(
-            models, groups, combine=combine, weights=weights, mode=mode)
+            models, _topology(groups), combine=combine, weights=weights,
+            mode=mode)
         for a, b in zip(flat_parts, hier_parts):
             assert np.array_equal(a, b)
         flat_full = all_gather(flat_parts, m)
-        hier_full, ag_wire = hier_all_gather(hier_parts, m, groups,
-                                             mode=mode)
+        hier_full, ag_wire = hier_all_gather(hier_parts, _topology(groups),
+                                             m, mode=mode)
         assert np.array_equal(flat_full, hier_full)
         if mode == "off":
             assert rs_wire.wire_values == rs_wire.dense_values
@@ -122,19 +144,19 @@ class TestBitIdentity:
                    if combine == "weighted" else None)
         flat_parts = reduce_scatter(models, combine=combine,
                                     weights=weights)
+        topology = _topology(_contiguous_groups(sizes), pool_slots=2,
+                             chunk_values=7)
         sw_parts, rs_wire = switch_reduce_scatter(
-            models, combine=combine, weights=weights, mode=mode,
-            pool_slots=2, chunk_values=7)
+            models, topology, combine=combine, weights=weights, mode=mode)
         for a, b in zip(flat_parts, sw_parts):
             assert np.array_equal(a, b)
-        sw_full, _ = switch_all_gather(sw_parts, m, mode=mode,
-                                       pool_slots=2, chunk_values=7)
+        sw_full, _ = switch_all_gather(sw_parts, topology, m, mode=mode)
         assert np.array_equal(all_gather(flat_parts, m), sw_full)
         # 'on' always bypasses the switch; 'off' never does.
         if mode == "on":
-            assert rs_wire.fallback is not None
+            assert not _in_network(rs_wire)
         if mode == "off":
-            assert rs_wire.fallback is None
+            assert _in_network(rs_wire)
 
     @settings(deadline=None, max_examples=25)
     @given(topology_cases())
@@ -144,8 +166,8 @@ class TestBitIdentity:
         k = sum(sizes)
         groups = _contiguous_groups(sizes)
         models = _models(k, m, density, seed)
-        wire = hier_tree_fan_in([[v] for v in models], groups, m,
-                                mode=mode)
+        wire = hier_tree_fan_in(_topology(groups), m, mode,
+                                [[v] for v in models])
         if mode != "on":  # forced sparse may exceed dense (crossover)
             assert wire.wire_values <= wire.dense_values
         assert wire.dense_values == float(m) * (k - len(groups)) + float(
@@ -164,10 +186,10 @@ class TestTrafficInvariant:
         k = sum(sizes)
         groups = _contiguous_groups(sizes)
         n = len(groups)
-        rs = hier_dense_wire("reduce_scatter", m, groups)
-        ag = hier_dense_wire("all_gather", m, groups)
-        intra = rs.intra_dense + ag.intra_dense
-        cross = rs.cross_dense + ag.cross_dense
+        rs = hier_exchange("reduce_scatter", _topology(groups), m)
+        ag = hier_exchange("all_gather", _topology(groups), m)
+        intra = _tier_values(rs, "intra") + _tier_values(ag, "intra")
+        cross = _tier_values(rs, "cross") + _tier_values(ag, "cross")
         assert intra == 2.0 * (k - n) * m
         assert cross == 2.0 * (n - 1) * m
         assert intra + cross == traffic_values(m, k)
@@ -178,18 +200,21 @@ class TestTrafficInvariant:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(1, 8), st.integers(16, 96))
     def test_switch_moves_km_up_and_km_down(self, k, m):
-        rs = switch_dense_wire("reduce_scatter", m, k)
-        ag = switch_dense_wire("all_gather", m, k)
+        rs = switch_exchange("reduce_scatter", _singletons(k), m)
+        ag = switch_exchange("all_gather", _singletons(k), m)
         assert rs.wire_values == float(k) * m
         assert ag.wire_values == float(k) * m
+        assert _tier_values(rs, "switch") == _tier_values(ag, "switch") \
+            == float(k) * m
 
     def test_hier_tree_dense_split(self):
         groups = ((0, 1, 2), (3, 4), (5,))
-        wire = hier_dense_wire("tree_aggregate", 40, groups,
-                               messages_per_executor=2)
+        wire = hier_tree_fan_in(_topology(groups), 40,
+                                messages_per_executor=2)
         # members ship mpe messages each; one partial per machine.
-        assert wire.intra_dense == 40.0 * 2 * (6 - 3)
-        assert wire.cross_dense == 40.0 * 3
+        assert _tier_values(wire, "intra") == 40.0 * 2 * (6 - 3)
+        assert _tier_values(wire, "cross") == 40.0 * 3
+        assert wire.wire_values == wire.dense_values
 
 
 # ----------------------------------------------------------------------
@@ -224,45 +249,47 @@ class TestExactBreakEven:
 
     def test_switch_stays_in_network_at_exact_break_even(self):
         models = self._half_support_models()
-        _, wire = switch_reduce_scatter(models, mode="auto")
-        assert wire.fallback is None  # tie prices dense: switch carries it
+        _, wire = switch_reduce_scatter(models, _singletons(2), mode="auto")
+        assert _in_network(wire)  # tie prices dense: switch carries it
 
     def test_switch_falls_back_strictly_below_break_even(self):
         a = np.zeros(8)
         a[[0, 4]] = 1.0  # nnz 1 per slice: 2 * 1 < 4
         b = np.zeros(8)
         b[[1, 5]] = 1.0
-        _, wire = switch_reduce_scatter([a, b], mode="auto")
-        assert wire.fallback is not None
-        assert wire.wire_values == wire.fallback.wire_values
+        _, wire = switch_reduce_scatter([a, b], _singletons(2), mode="auto")
+        assert not _in_network(wire)
+        assert wire.wire_values == flat_exchange(
+            "reduce_scatter", _singletons(2), 8, "auto", [a, b]).wire_values
         assert wire.wire_values < wire.dense_values
 
     def test_switch_all_gather_break_even(self):
         tie = [np.array([1.0, 1.0, 0.0, 0.0]),
                np.array([0.0, 0.0, 1.0, 1.0])]
-        _, wire = switch_all_gather(tie, 8, mode="auto")
-        assert wire.fallback is None
+        _, wire = switch_all_gather(tie, _singletons(2), 8, mode="auto")
+        assert _in_network(wire)
         below = [np.array([1.0, 0.0, 0.0, 0.0]),
                  np.array([0.0, 0.0, 0.0, 1.0])]
-        _, wire = switch_all_gather(below, 8, mode="auto")
-        assert wire.fallback is not None
+        _, wire = switch_all_gather(below, _singletons(2), 8, mode="auto")
+        assert not _in_network(wire)
 
     def test_switch_forced_sparse_always_falls_back(self):
         dense = [np.ones(8), np.full(8, 2.0)]
-        _, wire = switch_reduce_scatter(dense, mode="on")
-        assert wire.fallback is not None  # switch cannot carry payloads
+        _, wire = switch_reduce_scatter(dense, _singletons(2), mode="on")
+        assert not _in_network(wire)  # switch cannot carry payloads
 
     def test_switch_tree_break_even(self):
         tie = np.zeros(8)
         tie[:4] = 1.0
-        wire = switch_tree_fan_in([[tie], [tie.copy()]], {0: 2}, 8,
-                                  mode="auto")
-        assert wire.fallback is None
+        topology = _topology(((0,), (1,)), tree_groups=((0, 1),))
+        wire = switch_tree_fan_in(topology, 8, "auto",
+                                  [[tie], [tie.copy()]])
+        assert _in_network(wire)
         below = np.zeros(8)
         below[:3] = 1.0
-        wire = switch_tree_fan_in([[below], [below.copy()]], {0: 2}, 8,
-                                  mode="auto")
-        assert wire.fallback is not None
+        wire = switch_tree_fan_in(topology, 8, "auto",
+                                  [[below], [below.copy()]])
+        assert not _in_network(wire)
 
 
 # ----------------------------------------------------------------------
@@ -270,22 +297,22 @@ class TestExactBreakEven:
 # ----------------------------------------------------------------------
 class TestNetworkRegressions:
 
-    def test_empty_fan_in_raises_clear_error(self):
-        net = NetworkModel()
-        with pytest.raises(ValueError, match="at least one message"):
-            net.fan_in_varied_seconds([])
-
     def test_single_message_fan_in_is_one_transfer(self):
-        net = NetworkModel()
-        assert (net.fan_in_varied_seconds([100.0])
-                == net.transfer_seconds(100.0))
+        cluster = cluster1(executors=1)
+        schedule = flat_exchange("all_gather", Topology.of(cluster), 100)
+        one = Segment("cross", "recv", ((100.0, 1),))
+        assert (schedule.segment_seconds(one, cluster, cluster.driver)
+                == cluster.network.transfer_seconds(100.0))
 
     def test_one_executor_shuffle_sender_costs_nothing(self):
-        # Regression: k == 1 produces an empty message list, which must
-        # price 0.0 at the call site rather than hitting the fan-in
-        # ValueError.
-        assert ShuffleModel().sender_seconds(cluster1(executors=1),
-                                             []) == 0.0
+        # Regression: k == 1 leaves every sender an empty message list,
+        # which prices 0.0 rather than a phantom message.
+        cluster = cluster1(executors=1)
+        _, schedule = sparse_reduce_scatter([np.ones(8)],
+                                            Topology.of(cluster),
+                                            mode="on")
+        assert schedule.segments[0][0].runs == ()
+        assert schedule.comm_seconds(cluster) == 0.0
 
     def test_tiered_model_validates_bandwidth_ordering(self):
         with pytest.raises(ValueError, match="must be at least the "
@@ -335,18 +362,21 @@ class TestDegenerateHierEqualsFlat:
         m = 64
         models = _models(4, m, 0.4, seed=11)
 
+        topology = _topology(groups)
+
         flat_engine = BspEngine(cluster)
-        flat_parts, flat_stats = sparse_reduce_scatter(models, mode="auto")
-        d_rs_flat = flat_engine.reduce_scatter_phase(m, 0, wire=flat_stats)
-        _, flat_ag = sparse_all_gather(flat_parts, m, mode="auto")
-        d_ag_flat = flat_engine.all_gather_phase(m, 0, wire=flat_ag)
+        flat_parts, flat_stats = sparse_reduce_scatter(models, topology,
+                                                       mode="auto")
+        d_rs_flat = flat_engine.collective_phase(flat_stats, 0)
+        _, flat_ag = sparse_all_gather(flat_parts, topology, m, mode="auto")
+        d_ag_flat = flat_engine.collective_phase(flat_ag, 0)
 
         hier_engine = BspEngine(cluster)
-        hier_parts, rs_wire = hier_reduce_scatter(models, groups,
+        hier_parts, rs_wire = hier_reduce_scatter(models, topology,
                                                   mode="auto")
-        d_rs_hier = hier_engine.reduce_scatter_phase(m, 0, wire=rs_wire)
-        _, ag_wire = hier_all_gather(hier_parts, m, groups, mode="auto")
-        d_ag_hier = hier_engine.all_gather_phase(m, 0, wire=ag_wire)
+        d_rs_hier = hier_engine.collective_phase(rs_wire, 0)
+        _, ag_wire = hier_all_gather(hier_parts, topology, m, mode="auto")
+        d_ag_hier = hier_engine.collective_phase(ag_wire, 0)
 
         assert d_rs_hier == d_rs_flat  # bitwise: same message schedule
         assert d_ag_hier == d_ag_flat
@@ -517,15 +547,17 @@ class TestEnginePlumbing:
         cluster = cluster1(executors=4)
         m = 64
         models = _models(4, m, 0.05, seed=5)
-        flat_parts, stats = sparse_reduce_scatter(models, mode="on")
-        sw_parts, wire = switch_reduce_scatter(models, mode="on")
-        assert wire.fallback is not None
+        topology = Topology.of(cluster)
+        flat_parts, stats = sparse_reduce_scatter(models, topology,
+                                                  mode="on")
+        sw_parts, wire = switch_reduce_scatter(models, topology, mode="on")
+        assert not _in_network(wire)
         for a, b in zip(flat_parts, sw_parts):
             assert np.array_equal(a, b)
         eng_flat = BspEngine(cluster)
         eng_sw = BspEngine(cluster)
-        d_flat = eng_flat.reduce_scatter_phase(m, 0, wire=stats)
-        d_sw = eng_sw.reduce_scatter_phase(m, 0, wire=wire)
+        d_flat = eng_flat.collective_phase(stats, 0)
+        d_sw = eng_sw.collective_phase(wire, 0)
         assert d_sw == d_flat
         assert (eng_sw.comm_records[0].wire_values
                 == eng_flat.comm_records[0].wire_values)
@@ -534,30 +566,30 @@ class TestEnginePlumbing:
         cluster = tiered_cluster(machines=2, executors_per_machine=2)
         m = 32
         models = _models(4, m, 1.0, seed=9)
-        wire = hier_tree_fan_in([[v] for v in models],
-                                cluster.executor_groups(), m)
+        wire = hier_tree_fan_in(Topology.of(cluster), m, "off",
+                                [[v] for v in models])
         engine = BspEngine(cluster)
-        duration = engine.tree_aggregate_phase(m, 0, wire=wire)
+        duration = engine.collective_phase(wire, 0)
         assert duration > 0
         rec = engine.comm_records[0]
         assert rec.phase == "tree_aggregate"
         assert rec.wire_values == wire.wire_values
 
     def test_switch_tree_wire_counts_driver_result(self):
-        wire = switch_tree_fan_in([[np.ones(16)], [np.ones(16)]],
-                                  {0: 2}, 16)
+        wire = switch_tree_fan_in(_topology(((0,), (1,)), tree_groups=((0, 1),)),
+                                  16, "off", [[np.ones(16)], [np.ones(16)]])
         assert wire.wire_values == 2 * 16.0 + 16.0
         engine = BspEngine(cluster1(executors=2))
-        duration = engine.tree_aggregate_phase(16, 0, wire=wire)
+        duration = engine.collective_phase(wire, 0)
         assert duration > 0
         assert engine.comm_records[0].wire_values == wire.wire_values
 
     def test_wire_executor_mismatch_raises(self):
         engine = BspEngine(cluster1(executors=4))
         groups = ((0, 1), (2,))  # 3 executors, cluster has 4
-        wire = hier_dense_wire("reduce_scatter", 32, groups)
+        wire = hier_exchange("reduce_scatter", _topology(groups), 32)
         with pytest.raises(ValueError, match="executors"):
-            engine.reduce_scatter_phase(32, 0, wire=wire)
-        sw = switch_dense_wire("all_gather", 32, 3)
-        with pytest.raises(ValueError, match="senders"):
-            engine.all_gather_phase(32, 0, wire=sw)
+            engine.collective_phase(wire, 0)
+        sw = switch_exchange("all_gather", _topology(groups), 32)
+        with pytest.raises(ValueError, match="executors"):
+            engine.collective_phase(sw, 0)
