@@ -213,10 +213,6 @@ class Schedule:
             raise ValueError(f"unknown collective phase {self.phase!r}")
         if self.retry is not None and len(self.retry) != len(self.segments):
             raise ValueError("retry must cover every executor")
-        for segs in self.segments:
-            for seg in segs:
-                if seg.tier not in TIERS:
-                    raise ValueError(f"unknown tier {seg.tier!r}")
 
     @property
     def num_executors(self) -> int:
@@ -239,8 +235,11 @@ class Schedule:
             elif tier == "switch":
                 one = switch_stream_seconds(net, values, self.chunk_values,
                                             self.pool_slots)
-            else:
+            elif tier == "compute":
                 one = cluster.compute.dense_op_seconds(values, node)
+            else:
+                raise ValueError(f"unknown tier {tier!r}; expected one of "
+                                 f"{TIERS}")
             total += count * one
         return total
 
