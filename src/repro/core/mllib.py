@@ -107,6 +107,8 @@ class MLlibTrainer(DistributedTrainer):
         # in-memory vectors die with it) before resending.  Under
         # --sparse-comm each task's message is priced at its gradient's
         # support (the batch's column support, far smaller than m).
+        # The table is built per call so a wrapper installed on these
+        # module names (perfbench's layer tracer) sees every call.
         build = {"flat": tree_fan_in_wire, "hier": hier_tree_fan_in,
                  "switch": switch_tree_fan_in}[self.config.collective]
         schedule = build(self._topology, m, self.config.sparse_comm,

@@ -158,6 +158,8 @@ class MLlibStarTrainer(DistributedTrainer):
         # bit-identical across --collective values too.
         mode = self.config.sparse_comm
         collective = self.config.collective
+        # Tables built per call, so a wrapper installed on these module
+        # names (perfbench's layer tracer) sees every call.
         reduce = {"flat": sparse_reduce_scatter, "hier": hier_reduce_scatter,
                   "switch": switch_reduce_scatter}[collective]
         partitions, schedule = reduce(locals_, self._topology,
