@@ -41,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..engine.aggregation import TreeAggregateModel
+
 if TYPE_CHECKING:
     from ..cluster import ClusterSpec, NetworkModel, NodeSpec
-    from ..engine.aggregation import TreeAggregateModel
 
 __all__ = ["Segment", "Schedule", "Topology", "TIERS", "PHASES",
            "switch_rounds", "switch_stream_seconds"]
@@ -137,10 +138,9 @@ class Topology:
 
     @classmethod
     def of(cls, cluster: "ClusterSpec",
-           tree: "TreeAggregateModel | None" = None, pool_slots: int = 512,
+           tree: TreeAggregateModel | None = None, pool_slots: int = 512,
            chunk_values: int = 256) -> "Topology":
         """The topology of ``cluster`` (MLlib's depth-2 tree by default)."""
-        from ..engine.aggregation import TreeAggregateModel
         tree = tree if tree is not None else TreeAggregateModel()
         return cls(cluster.executor_groups(),
                    tree.groups(cluster.num_executors), pool_slots,
