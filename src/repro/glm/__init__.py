@@ -4,9 +4,8 @@ from .dual import (DUAL_LOSSES, DUAL_SOLVERS, DualLoss, DualSolverSpec,
                    certified_gap, dual_local_solve, get_dual_loss,
                    make_dual_spec, require_dual_capable)
 from .evaluation import BinaryMetrics, evaluate_binary, roc_auc
-from .kernels import (apply_update_inplace, chunk_grad_touched,
-                      chunk_margins, dual_epoch, dual_row_norms,
-                      permuted_epoch, touched_columns)
+from .kernels import (apply_update_inplace, dual_epoch, dual_row_norms,
+                      lazy_epoch_plan, permuted_epoch)
 from .lazy_update import ScaledVector
 from .local_solvers import (LocalStats, apply_update, gd_step, mgd_epoch,
                             sample_batch, sgd_epoch, use_reference_kernels)
@@ -31,8 +30,8 @@ __all__ = [
     "read_artifact_meta",
     "LocalStats", "gd_step", "mgd_epoch", "sgd_epoch", "sample_batch",
     "apply_update", "use_reference_kernels",
-    "apply_update_inplace", "chunk_grad_touched", "chunk_margins",
-    "permuted_epoch", "touched_columns", "dual_epoch", "dual_row_norms",
+    "apply_update_inplace", "lazy_epoch_plan",
+    "permuted_epoch", "dual_epoch", "dual_row_norms",
     "DualLoss", "DualSolverSpec", "DUAL_LOSSES", "DUAL_SOLVERS",
     "get_dual_loss", "make_dual_spec", "require_dual_capable",
     "dual_local_solve", "certified_gap",

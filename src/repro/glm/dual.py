@@ -346,13 +346,14 @@ def dual_local_solve(objective: Objective, w: np.ndarray,
     use_reference = _KERNEL_MODE[0] == "reference"
     if not use_reference:
         norms = dual_row_norms(X.indptr, X.data, n)
+        indices = X.indices.astype(np.intp, copy=False)
     for _ in range(spec.epochs):
         order = rng.permutation(n)
         if use_reference:
             nnz, updates = reference.dual_epoch_reference(
                 X, y, u, acur, dalpha, order, scale, dloss.delta)
         else:
-            nnz, updates = dual_epoch(X.indptr, X.indices, X.data, y, u,
+            nnz, updates = dual_epoch(X.indptr, indices, X.data, y, u,
                                       acur, dalpha, order, scale, norms,
                                       dloss.delta)
         stats.nnz_processed += nnz

@@ -9,20 +9,21 @@ shows four dominant costs that are pure implementation overhead:
    (``Xp = X[order]``) and slicing contiguous ranges ``Xp[a:b]`` yields
    byte-identical chunk matrices (``X[order][a:b] == X[order[a:b]]``) at a
    fraction of the cost.
-2. **Per-chunk matrix construction** — even a contiguous ``Xp[a:b]``
-   slice builds a fresh ``csr_matrix`` (index-dtype checks, shape checks,
-   format validation) thousands of times per epoch.  The lazy SGD loop
-   therefore works on the raw ``indptr``/``indices``/``data`` arrays:
-   a chunk is just the slice ``indices[indptr[a]:indptr[b]]`` and its
-   margins are a product + segmented sum (:func:`chunk_margins`) — scipy's
-   CSR matvec accumulates each row's products in the same order, so the
-   result is bit-identical.
+2. **Per-chunk setup** — even a contiguous ``Xp[a:b]`` slice builds a
+   fresh ``csr_matrix``, and a chunk's row ids, sorted column support
+   and each entry's slot in that support do not depend on the model.
+   :func:`lazy_epoch_plan` derives all of them for the whole epoch from
+   one sort, and casts the column indices to ``intp`` once (numpy
+   converts ``int32`` indices on every gather).  The lazy SGD loop is
+   left with the model-dependent work: a gather and ``np.bincount`` for
+   the margins, the gradient factor, a ``np.bincount`` for the gradient
+   on the support, and the update.
 3. **Dense per-chunk gradients** — ``Xc.T @ factor`` materializes an
    ``m``-length array per chunk even though only the chunk's column
-   support (``nnz`` entries) is nonzero.  :func:`chunk_grad_touched`
-   gathers exactly the touched coordinates; scipy's CSC matvec and
-   ``np.bincount`` both accumulate each output coordinate's contributions
-   in row-ascending order, so the sums are bit-identical.
+   support is nonzero.  The plan's slots let ``np.bincount`` sum
+   exactly the touched coordinates; scipy's CSR and CSC matvecs and
+   ``np.bincount`` all accumulate in storage (row-major) order, so
+   margins and gradients are bit-identical.
 4. **Fresh model arrays per update** — ``apply_update`` allocates up to
    four ``m``-length temporaries per batch.  :func:`apply_update_inplace`
    reuses the iterate and one scratch buffer while performing the exact
@@ -36,14 +37,15 @@ the numerics (and therefore the golden convergence values) are unchanged.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
 from .objective import Objective
 
-__all__ = ["permuted_epoch", "touched_columns", "chunk_margins",
-           "chunk_grad_touched", "apply_update_inplace", "dual_row_norms",
-           "dual_epoch"]
+__all__ = ["permuted_epoch", "LazyEpochPlan", "lazy_epoch_plan",
+           "apply_update_inplace", "dual_row_norms", "dual_epoch"]
 
 
 def permuted_epoch(X: sp.csr_matrix, y: np.ndarray, order: np.ndarray,
@@ -60,65 +62,84 @@ def permuted_epoch(X: sp.csr_matrix, y: np.ndarray, order: np.ndarray,
     return X[order], y[order]
 
 
-def touched_columns(indices: np.ndarray,
-                    single_row: bool = False) -> np.ndarray:
-    """Sorted unique column indices of a chunk (``np.unique`` replacement).
+class LazyEpochPlan(NamedTuple):
+    """Model-independent layout of one lazy-SGD epoch.
 
-    ``indices`` is the chunk's raw CSR index slice.  ``np.unique``
-    re-derives sortedness it could assume: a single canonical-format CSR
-    row already *is* sorted and duplicate-free (pass ``single_row=True``
-    to skip the sort entirely), and for multi-row chunks a plain sort +
-    neighbour-diff mask skips unique's generic machinery.  Output is
-    bit-identical to ``np.unique(indices)``.
+    Chunk ``c`` owns the stored entries ``nnz_bounds[c]:nnz_bounds[c+1]``
+    of ``cols``, ``data``, ``rows`` and ``pos``, and the support entries
+    ``support_bounds[c]:support_bounds[c+1]`` of ``support``.
     """
-    if indices.size == 0:
-        return indices[:0]
-    if single_row:
-        return indices
-    s = np.sort(indices)
-    keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+
+    #: Column of every stored entry, in epoch order, as ``intp``.
+    cols: np.ndarray
+    #: Value of every stored entry, in epoch order.
+    data: np.ndarray
+    #: Chunk-local row of every stored entry.
+    rows: np.ndarray
+    #: Position of every entry's column within its chunk's support.
+    pos: np.ndarray
+    #: Every chunk's sorted distinct columns, concatenated.
+    support: np.ndarray
+    nnz_bounds: list[int]
+    support_bounds: list[int]
 
 
-def chunk_margins(indices: np.ndarray, data: np.ndarray,
-                  row_nnz: np.ndarray, v: np.ndarray,
-                  n_rows: int) -> np.ndarray:
-    """Row margins ``Xc @ v`` computed from the chunk's raw CSR arrays.
+def lazy_epoch_plan(Xp: sp.csr_matrix, chunk_size: int) -> LazyEpochPlan:
+    """Lay out a permuted epoch for :func:`repro.glm.sgd_epoch`'s lazy loop.
 
-    Bit-identical to scipy's CSR matvec: both form the products
-    ``data[k] * v[indices[k]]`` and accumulate them per row in storage
-    (row-major, column-ascending) order — ``np.bincount`` adds its
-    weights in occurrence order, which is the same sequence of float
-    additions.  Avoids constructing a ``csr_matrix`` per chunk.
+    Everything the loop needs that does not depend on the model — row
+    ids, each chunk's touched columns and each entry's slot in them — is
+    derived here from one sort of the whole epoch by ``(chunk, column,
+    storage position)``.  The sort key is packed into one ``int64``,
+    ``(chunk * m + column) << bits | position`` with ``bits`` wide
+    enough for any position, when that cannot wrap; otherwise the same
+    order comes from ``np.lexsort``.
+
+    A chunk's support equals ``np.unique`` of its column indices, and
+    ``np.bincount(pos, weights)`` over a chunk adds each column's
+    contributions in storage (row-ascending) order — the order of
+    scipy's CSC matvec ``Xc.T @ factor`` — so the loop's sums are
+    bit-identical to the reference's.  Column indices need not be sorted
+    within rows.
     """
-    if indices.size == 0:
-        return np.zeros(n_rows)
-    rows_local = np.repeat(np.arange(n_rows), row_nnz)
-    return np.bincount(rows_local, weights=data * v[indices],
-                       minlength=n_rows)
-
-
-def chunk_grad_touched(indices: np.ndarray, data: np.ndarray,
-                       row_nnz: np.ndarray, factor: np.ndarray,
-                       touched: np.ndarray) -> np.ndarray:
-    """Mean loss gradient of a chunk, gathered on its column support.
-
-    Bit-identical to ``(np.asarray(Xc.T @ factor) / n_rows)[touched]``
-    without materializing the ``m``-length dense gradient: scipy's CSC
-    matvec accumulates each column's products in row-ascending order, and
-    ``np.bincount`` adds its weights in occurrence order — the same order,
-    because CSR data is stored row-major.  ``touched`` must be the sorted
-    unique column support of the chunk (see :func:`touched_columns`).
-    """
-    if touched.size == 0:
-        return np.zeros(0)
-    per_nnz = np.repeat(factor, row_nnz)
-    vals = data * per_nnz
-    pos = np.searchsorted(touched, indices)
-    return np.bincount(pos, weights=vals,
-                       minlength=touched.size) / row_nnz.shape[0]
+    n, m = Xp.shape
+    indptr = Xp.indptr
+    total = int(indptr[n])
+    starts = np.arange(0, n, chunk_size)
+    nnz_bounds = np.append(indptr[starts], total).astype(np.intp)
+    cols = Xp.indices[:total].astype(np.intp, copy=False)
+    chunk = np.repeat(np.arange(starts.size, dtype=np.int64),
+                      np.diff(nnz_bounds))
+    rows = np.repeat(np.arange(n, dtype=np.intp) % chunk_size,
+                     np.diff(indptr))
+    shift = total.bit_length()
+    if starts.size * m << shift <= 2 ** 63:
+        key = chunk * m
+        key += cols
+        key <<= shift
+        key |= np.arange(total)
+        key.sort()
+        key &= (1 << shift) - 1
+        perm = key
+    else:
+        perm = np.lexsort((cols, chunk))
+    col_s = cols[perm]
+    # A support slot starts at each chunk's first entry and wherever the
+    # sorted column changes; sorting moves entries only within their
+    # chunk, so ``chunk`` still labels the sorted positions.
+    first = np.empty(total + 1, dtype=bool)
+    np.not_equal(col_s[1:], col_s[:-1], out=first[1:total])
+    first[nnz_bounds] = True
+    first = first[:total]
+    heads = np.flatnonzero(first)
+    support_bounds = np.searchsorted(heads, nnz_bounds)
+    slot = first.astype(np.intp)
+    np.cumsum(slot, out=slot)
+    slot -= (support_bounds + 1)[chunk]
+    pos = np.empty_like(slot)
+    pos[perm] = slot
+    return LazyEpochPlan(cols, Xp.data[:total], rows, pos, col_s[heads],
+                         nnz_bounds.tolist(), support_bounds.tolist())
 
 
 def dual_row_norms(indptr: np.ndarray, data: np.ndarray,
@@ -154,7 +175,9 @@ def dual_epoch(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     ``acur`` and the epoch delta ``dalpha`` — all mutated in place.
     ``scale`` is ``sigma' / (lambda n)`` (it multiplies both the
     curvature ``q = scale * ||x_i||^2`` and the iterate update) and
-    ``norms`` comes from :func:`dual_row_norms`.
+    ``norms`` comes from :func:`dual_row_norms`.  Pass ``indices`` as
+    ``intp``: numpy converts any other index dtype on every gather and
+    scatter.
 
     Bit-identical to :func:`repro.glm.reference.dual_epoch_reference`:
     margins accumulate with ``cumsum`` (sequential left-to-right, the
@@ -169,16 +192,17 @@ def dual_epoch(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     """
     nnz = 0
     updates = 0
-    for i in order:
-        lo, hi = indptr[i], indptr[i + 1]
+    bounds = indptr.tolist()
+    for i in order.tolist():
+        lo, hi = bounds[i], bounds[i + 1]
         idx = indices[lo:hi]
         dat = data[lo:hi]
-        if idx.size:
+        if hi > lo:
             margin = (dat * u[idx]).cumsum()[-1]
         else:
             margin = 0.0
         d = delta_fn(margin, acur[i], y[i], scale * norms[i])
-        nnz += 2 * int(idx.size)
+        nnz += 2 * (hi - lo)
         if d != 0.0:
             acur[i] += d
             dalpha[i] += d

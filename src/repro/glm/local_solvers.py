@@ -17,7 +17,7 @@ cluster cost model can convert the work into simulated seconds.  ``y``
 labels are in {-1, +1}; gradients are means over the examples used.
 
 The epoch loops run on the fast CSR kernels of :mod:`repro.glm.kernels`
-(pre-permuted epoch slicing, support-gathered gradients, in-place
+(pre-permuted epoch slicing, a per-epoch lazy-SGD plan, in-place
 updates).  :func:`use_reference_kernels` temporarily routes them to the
 retained pre-optimization bodies in :mod:`repro.glm.reference` — both
 paths are bit-identical (enforced by ``tests/test_perf_kernels.py``); the
@@ -34,8 +34,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import (apply_update_inplace, chunk_grad_touched,
-                      chunk_margins, permuted_epoch, touched_columns)
+from .kernels import apply_update_inplace, lazy_epoch_plan, permuted_epoch
 from .lazy_update import ScaledVector
 from .objective import Objective
 
@@ -166,29 +165,33 @@ def _sgd_epoch_lazy(objective: Objective, w: np.ndarray, Xp: sp.csr_matrix,
     """Chunked SGD with L2 handled through a :class:`ScaledVector`.
 
     ``Xp``/``yp`` are already in epoch order (see
-    :func:`repro.glm.kernels.permuted_epoch`), so each chunk is a
-    contiguous slice of the raw CSR arrays — no ``csr_matrix`` is
-    constructed per chunk — and gradients are gathered on the chunk's
-    column support instead of materializing an ``m``-length dense array.
+    :func:`repro.glm.kernels.permuted_epoch`).  Everything that does not
+    depend on the model is laid out once per epoch by
+    :func:`repro.glm.kernels.lazy_epoch_plan`, so each chunk costs only
+    its margins, gradient factor, support-gathered gradient and update.
     """
     lam = objective.regularizer.strength
+    loss = objective.loss
     sv = ScaledVector(w)
-    stats = LocalStats()
     n = Xp.shape[0]
-    indptr, indices, data = Xp.indptr, Xp.indices, Xp.data
-    single_row = chunk_size == 1 and Xp.has_canonical_format
-    for start in range(0, n, chunk_size):
+    cols, data, rows, pos, support, nnz_bounds, support_bounds = \
+        lazy_epoch_plan(Xp, chunk_size)
+    # Stays current: ``ScaledVector`` rebases and zeroes its storage in
+    # place.
+    values = sv.values
+    for c, start in enumerate(range(0, n, chunk_size)):
         end = min(start + chunk_size, n)
-        yc = yp[start:end]
-        lo, hi = indptr[start], indptr[end]
-        idx = indices[lo:hi]
+        lo, hi = nnz_bounds[c], nnz_bounds[c + 1]
         dat = data[lo:hi]
-        row_nnz = np.diff(indptr[start:end + 1])
-        margins = sv.scale * chunk_margins(idx, dat, row_nnz, sv.values,
-                                           end - start)
-        factor = objective.loss.gradient_factor(margins, yc)
-        touched = touched_columns(idx, single_row=single_row)
-        grad = chunk_grad_touched(idx, dat, row_nnz, factor, touched)
+        rl = rows[lo:hi]
+        # A chunk without entries gets integer zeros, which the scale
+        # turns into the reference's +0.0 margins.
+        margins = sv.scale * np.bincount(
+            rl, weights=dat * values[cols[lo:hi]], minlength=end - start)
+        factor = loss.gradient_factor(margins, yp[start:end])
+        s_lo, s_hi = support_bounds[c], support_bounds[c + 1]
+        grad = np.bincount(pos[lo:hi], weights=dat * factor[rl],
+                           minlength=s_hi - s_lo) / (end - start)
         if lam:
             decay = 1.0 - lr * lam
             if decay <= 0:
@@ -196,10 +199,10 @@ def _sgd_epoch_lazy(objective: Objective, w: np.ndarray, Xp: sp.csr_matrix,
                     f"lr * lambda = {lr * lam:g} >= 1 makes the lazy decay "
                     "non-positive; lower the learning rate")
             sv.decay(decay)
-        sv.axpy_sparse(-lr, touched, grad)
-        stats.nnz_processed += 2 * int(idx.size)
-        stats.n_updates += 1
-    stats.dense_ops = sv.dense_ops + sv.dim  # final materialization
+        sv.axpy_sparse(-lr, support[s_lo:s_hi], grad)
+    stats = LocalStats(nnz_processed=2 * nnz_bounds[-1],
+                       n_updates=len(nnz_bounds) - 1,
+                       dense_ops=sv.dense_ops + sv.dim)  # + materialization
     return sv.to_array(), stats
 
 

@@ -17,24 +17,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.glm import (Objective, apply_update, apply_update_inplace,
-                       chunk_grad_touched, chunk_margins, mgd_epoch,
-                       permuted_epoch, sgd_epoch, touched_columns,
+                       lazy_epoch_plan, mgd_epoch, permuted_epoch, sgd_epoch,
                        use_reference_kernels)
 from repro.glm.lazy_update import ScaledVector
 
 
-def make_problem(n_rows: int, n_features: int, density: float, seed: int):
+def make_problem(n_rows: int, n_features: int, density: float, seed: int,
+                 sorted_indices: bool = True):
     X = sp.random(n_rows, n_features, density=density, format="csr",
                   random_state=np.random.RandomState(seed))
     X.sum_duplicates()
     X.sort_indices()
+    if not sorted_indices:
+        shuffle_within_rows(X, np.random.default_rng(seed + 7))
     rng = np.random.default_rng(seed)
     y = np.where(rng.random(n_rows) < 0.5, -1.0, 1.0)
     w0 = rng.standard_normal(n_features) * 0.1
     return X, y, w0
 
 
+def shuffle_within_rows(X: sp.csr_matrix, rng: np.random.Generator):
+    """Shuffle each row's stored entries in place (unsorted CSR)."""
+    row_of = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    perm = np.lexsort((rng.random(X.nnz), row_of))
+    X.indices = X.indices[perm]
+    X.data = X.data[perm]
+    X.has_sorted_indices = False
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Exact equality that also tells ``-0.0`` from ``0.0``."""
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
 REGULARIZERS = [None, ("l2", 0.1), ("l1", 0.01)]
+CHUNK_SIZES = [1, 3, 16, 32, 64]
 
 
 def make_objective(loss: str, reg) -> Objective:
@@ -53,13 +71,13 @@ class TestSgdEpochBitIdentity:
     @given(params=problem_params,
            loss=st.sampled_from(["hinge", "logistic", "squared"]),
            reg=st.sampled_from(REGULARIZERS),
-           chunk_size=st.sampled_from([1, 3, 16, 64]),
-           shuffle=st.booleans())
+           chunk_size=st.sampled_from(CHUNK_SIZES),
+           shuffle=st.booleans(), sorted_indices=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_fast_equals_reference(self, params, loss, reg, chunk_size,
-                                   shuffle):
+                                   shuffle, sorted_indices):
         n, m, density, seed = params
-        X, y, w0 = make_problem(n, m, density, seed)
+        X, y, w0 = make_problem(n, m, density, seed, sorted_indices)
         objective = make_objective(loss, reg)
         rng_fast = np.random.default_rng(seed + 1)
         rng_ref = np.random.default_rng(seed + 1)
@@ -70,20 +88,50 @@ class TestSgdEpochBitIdentity:
             w_ref, stats_ref = sgd_epoch(objective, w0, X, y, 0.05,
                                          rng_ref, chunk_size=chunk_size,
                                          shuffle=shuffle)
-        assert np.array_equal(w_fast, w_ref)
+        assert same_bits(w_fast, w_ref)
         assert stats_fast == stats_ref
         # Both paths must consume the RNG identically (one permutation).
         assert (rng_fast.bit_generator.state
                 == rng_ref.bit_generator.state)
 
+    @pytest.mark.parametrize("chunk_size", [1, 3, 32])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lazy_rebase_fast_equals_reference(self, chunk_size, seed,
+                                               monkeypatch):
+        # decay = 1 - 0.5 * 1.0 halves the scale every chunk, so it falls
+        # under the rebase threshold after 20 chunks: the fast loop's
+        # hoisted ``values`` view must see the rebased storage.
+        X, y, w0 = make_problem(700, 50, 0.1, seed)
+        objective = Objective("hinge", "l2", 1.0)
+        rebases = []
+        rebase = ScaledVector._rebase
+
+        def counting_rebase(sv):
+            rebases.append(sv.scale)
+            rebase(sv)
+
+        monkeypatch.setattr(ScaledVector, "_rebase", counting_rebase)
+        w_fast, stats_fast = sgd_epoch(objective, w0, X, y, 0.5,
+                                       np.random.default_rng(seed),
+                                       chunk_size=chunk_size)
+        assert len(rebases) >= 700 // chunk_size // 20
+        with use_reference_kernels():
+            w_ref, stats_ref = sgd_epoch(objective, w0, X, y, 0.5,
+                                         np.random.default_rng(seed),
+                                         chunk_size=chunk_size)
+        assert same_bits(w_fast, w_ref)
+        assert stats_fast == stats_ref
+
     @given(params=problem_params,
            loss=st.sampled_from(["hinge", "logistic", "squared"]),
            reg=st.sampled_from(REGULARIZERS),
-           batch_size=st.sampled_from([1, 5, 32]))
+           batch_size=st.sampled_from([1, 5, 32]),
+           sorted_indices=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_mgd_fast_equals_reference(self, params, loss, reg, batch_size):
+    def test_mgd_fast_equals_reference(self, params, loss, reg, batch_size,
+                                       sorted_indices):
         n, m, density, seed = params
-        X, y, w0 = make_problem(n, m, density, seed)
+        X, y, w0 = make_problem(n, m, density, seed, sorted_indices)
         objective = make_objective(loss, reg)
         rng_fast = np.random.default_rng(seed + 2)
         rng_ref = np.random.default_rng(seed + 2)
@@ -92,52 +140,112 @@ class TestSgdEpochBitIdentity:
         with use_reference_kernels():
             w_ref, stats_ref = mgd_epoch(objective, w0, X, y, 0.05,
                                          batch_size, rng_ref)
-        assert np.array_equal(w_fast, w_ref)
+        assert same_bits(w_fast, w_ref)
         assert stats_fast == stats_ref
 
 
+def plan_chunks(X: sp.csr_matrix, chunk_size: int):
+    """Yield ``(Xc, cols, data, rows, pos, support)`` per chunk of the
+    plan of ``X``, next to the chunk's own CSR slice."""
+    plan = lazy_epoch_plan(X, chunk_size)
+    nb, sb = plan.nnz_bounds, plan.support_bounds
+    for c, start in enumerate(range(0, X.shape[0], chunk_size)):
+        lo, hi = nb[c], nb[c + 1]
+        yield (X[start:start + chunk_size], plan.cols[lo:hi],
+               plan.data[lo:hi], plan.rows[lo:hi], plan.pos[lo:hi],
+               plan.support[sb[c]:sb[c + 1]])
+
+
+plan_params = st.tuples(problem_params, st.sampled_from(CHUNK_SIZES),
+                        st.booleans())
+
+
 class TestKernelUnits:
-    @given(params=problem_params)
+    @given(params=plan_params)
     @settings(max_examples=40, deadline=None)
-    def test_touched_columns_is_unique(self, params):
-        n, m, density, seed = params
-        X, _, _ = make_problem(n, m, density, seed)
-        got = touched_columns(X.indices)
-        assert np.array_equal(got, np.unique(X.indices))
+    def test_plan_matches_per_chunk_setup(self, params):
+        (n, m, density, seed), chunk_size, sorted_indices = params
+        X, _, _ = make_problem(n, m, density, seed, sorted_indices)
+        plan = lazy_epoch_plan(X, chunk_size)
+        assert plan.cols.dtype == plan.rows.dtype == plan.pos.dtype \
+            == plan.support.dtype == np.intp
+        assert len(plan.nnz_bounds) == len(range(0, n, chunk_size)) + 1
+        for Xc, cols, data, rows, pos, support in plan_chunks(X, chunk_size):
+            assert np.array_equal(cols, Xc.indices)
+            assert same_bits(data, Xc.data)
+            assert np.array_equal(
+                rows, np.repeat(np.arange(Xc.shape[0]), np.diff(Xc.indptr)))
+            assert np.array_equal(support, np.unique(Xc.indices))
+            assert np.array_equal(pos, np.searchsorted(support, cols))
 
-    def test_touched_columns_empty(self):
-        idx = np.zeros(0, dtype=np.int32)
-        assert touched_columns(idx).size == 0
+    def test_plan_of_rows_without_entries(self):
+        X = sp.csr_matrix(np.array([[0., 0., 0.], [0., 0., 0.],
+                                    [0., 2., 1.], [0., 0., 0.],
+                                    [0., 0., 0.]]))
+        plan = lazy_epoch_plan(X, 2)
+        assert plan.nnz_bounds == [0, 0, 2, 2]
+        assert plan.support_bounds == [0, 0, 2, 2]
+        assert np.array_equal(plan.support, [1, 2])
+        assert np.array_equal(plan.rows, [0, 0])
+        for shape in [(0, 5), (4, 5)]:
+            plan = lazy_epoch_plan(sp.csr_matrix(shape), 3)
+            assert plan.support.size == plan.pos.size == 0
+            assert plan.nnz_bounds == plan.support_bounds \
+                == [0] * (len(range(0, shape[0], 3)) + 1)
 
-    def test_touched_columns_single_row_skips_sort(self):
+    def test_plan_single_row_support_is_the_row(self):
         # A canonical CSR row is already sorted and duplicate-free.
-        idx = np.array([2, 5, 9], dtype=np.int32)
-        assert touched_columns(idx, single_row=True) is idx
+        X, _, _ = make_problem(30, 40, 0.2, 4)
+        plan = lazy_epoch_plan(X, 1)
+        assert np.array_equal(plan.support, X.indices)
+        assert plan.support_bounds == plan.nnz_bounds
+        for _, cols, _, _, pos, _ in plan_chunks(X, 1):
+            assert np.array_equal(pos, np.arange(cols.size))
 
-    @given(params=problem_params)
+    def test_plan_unpackable_key_uses_lexsort(self):
+        # (chunk * m + column) * nnz would wrap int64 here.
+        m = 2 ** 62
+        indices = np.array([5, m - 1, 3, 5, 0, m - 2, 7], dtype=np.int64)
+        X = sp.csr_matrix((np.arange(1.0, 8.0), indices, [0, 2, 4, 7]),
+                          shape=(3, m))
+        plan = lazy_epoch_plan(X, 2)
+        assert plan.nnz_bounds == [0, 4, 7]
+        assert plan.support_bounds == [0, 3, 6]
+        assert np.array_equal(plan.support,
+                              [3, 5, m - 1, 0, 7, m - 2])
+        assert np.array_equal(plan.pos, [1, 2, 0, 1, 0, 2, 1])
+        assert np.array_equal(plan.rows, [0, 0, 1, 1, 0, 0, 0])
+
+    @given(params=plan_params)
     @settings(max_examples=40, deadline=None)
-    def test_chunk_margins_matches_matvec(self, params):
-        n, m, density, seed = params
-        X, _, _ = make_problem(n, m, density, seed)
+    def test_plan_margins_match_matvec(self, params):
+        (n, m, density, seed), chunk_size, sorted_indices = params
+        X, _, _ = make_problem(n, m, density, seed, sorted_indices)
         v = np.random.default_rng(seed + 3).standard_normal(m)
-        got = chunk_margins(X.indices, X.data, np.diff(X.indptr), v, n)
-        assert np.array_equal(got, X @ v)
+        for Xc, cols, data, rows, _, _ in plan_chunks(X, chunk_size):
+            got = np.bincount(rows, weights=data * v[cols],
+                              minlength=Xc.shape[0])
+            assert np.array_equal(got, Xc @ v)
 
-    @given(params=problem_params)
+    @given(params=plan_params)
     @settings(max_examples=40, deadline=None)
-    def test_chunk_grad_touched_matches_dense(self, params):
-        n, m, density, seed = params
-        X, _, _ = make_problem(n, m, density, seed)
+    def test_plan_grad_matches_dense(self, params):
+        (n, m, density, seed), chunk_size, sorted_indices = params
+        X, _, _ = make_problem(n, m, density, seed, sorted_indices)
         factor = np.random.default_rng(seed + 4).standard_normal(n)
-        touched = touched_columns(X.indices)
-        got = chunk_grad_touched(X.indices, X.data, np.diff(X.indptr),
-                                 factor, touched)
-        dense = np.asarray(X.T @ factor) / n
-        assert np.array_equal(got, dense[touched])
-        # Everything off the support is exactly zero in the dense version.
-        mask = np.ones(m, dtype=bool)
-        mask[touched] = False
-        assert not np.any(dense[mask])
+        chunks = plan_chunks(X, chunk_size)
+        for start, (Xc, _, data, rows, pos, support) in zip(
+                range(0, n, chunk_size), chunks):
+            fc = factor[start:start + Xc.shape[0]]
+            got = np.bincount(pos, weights=data * fc[rows],
+                              minlength=support.size) / Xc.shape[0]
+            dense = np.asarray(Xc.T @ fc) / Xc.shape[0]
+            assert same_bits(got, dense[support])
+            # Everything off the support is exactly zero in the dense
+            # version.
+            mask = np.ones(m, dtype=bool)
+            mask[support] = False
+            assert not np.any(dense[mask])
 
     @given(m=st.integers(min_value=1, max_value=100),
            seed=st.integers(min_value=0, max_value=1000),
@@ -152,7 +260,7 @@ class TestKernelUnits:
         expected = apply_update(w, grad, 0.1, objective)
         got = apply_update_inplace(np.array(w, copy=True), grad, 0.1,
                                    objective, np.empty(m))
-        assert np.array_equal(got, expected)
+        assert same_bits(got, expected)
 
     def test_permuted_epoch_matches_gather(self):
         X, y, _ = make_problem(40, 30, 0.2, 5)
