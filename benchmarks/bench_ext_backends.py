@@ -90,7 +90,10 @@ def run_study(smoke: bool):
                           repeats=1 if smoke else 2,
                           include_reference_baseline=False)
     if smoke:
-        network = validate_network(rows=200, features=64, executors=2,
+        # 8 partitions outnumber the daemons on hosts with fewer than 8
+        # cores, so the frame-shape gate can tell one frame per daemon
+        # from one frame per partition.
+        network = validate_network(rows=200, features=64, executors=8,
                                    steps=3, seed=3)
     else:
         network = validate_network(rows=2000, features=4096, executors=4,
@@ -111,7 +114,8 @@ def report_and_check(sweep, network, dataset_name, executors, steps,
     print()
     measured = network["measured"]
     simulated = network["simulated"]
-    print(f"measured wire:  {measured['messages']} messages, "
+    print(f"measured wire:  {measured['task_messages']} frames carrying "
+          f"{measured['tasks']} tasks, "
           f"{measured['bytes_on_wire']} bytes, "
           f"comm {measured['task_comm_seconds']:.4f}s")
     print(f"simulated:      {simulated['task_seconds']:.4f}s "
@@ -127,6 +131,13 @@ def report_and_check(sweep, network, dataset_name, executors, steps,
     assert sweep["baseline"] == "processes"
     assert network["bit_identical"], network
     assert measured["bytes_on_wire"] > measured["install_bytes"] > 0
+    # Frame-shape gate: every training superstep sends each daemon one
+    # TASK frame carrying all of its partitions' tasks.  The install row
+    # counts the daemons (one INSTALL exchange each).
+    install, *supersteps = network["per_superstep"]
+    for row in supersteps:
+        assert row["messages"] == install["messages"], row
+        assert row["tasks"] == network["workload"]["executors"], row
     if not smoke:
         assert sweep["speedup_vs_baseline"]["shm"] >= FULL_SHM_BAR, \
             sweep["speedup_vs_baseline"]

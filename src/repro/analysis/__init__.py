@@ -15,28 +15,47 @@ Two complementary layers (see ``docs/static_analysis.md``):
   replicas stay bit-identical.
 """
 
-from .callgraph import CallGraph, FunctionInfo, SubmitSite, module_name_for
-from .engine import (AnalysisResult, SourceFile, collect_files, load_source,
-                     parse_noqa, run_analysis)
-from .reporters import render_json, render_sarif, render_text
-from .rules import (ALL_RULES, AmbientNondeterminism, CallGraphRule,
-                    ConfigReachability, ImpureCostModel, ProjectRule, Rule,
-                    UnorderedIteration, UnusedSuppression, rule_registry)
-from .rules_race import SharedStateMutation, UnpicklableTask
-from .sanitizer import (BarrierSanitizer, ReplicaDivergenceError,
-                        SanitizerError, check_replicas, freeze_array,
-                        model_digest)
-from .violations import PARSE_RULE_ID, Violation
+from __future__ import annotations
 
-__all__ = [
-    "AnalysisResult", "SourceFile", "collect_files", "load_source",
-    "parse_noqa", "run_analysis", "render_json", "render_sarif",
-    "render_text", "ALL_RULES", "AmbientNondeterminism", "CallGraph",
-    "CallGraphRule", "ConfigReachability", "FunctionInfo",
-    "ImpureCostModel", "ProjectRule", "Rule", "SharedStateMutation",
-    "SubmitSite", "UnorderedIteration", "UnpicklableTask",
-    "UnusedSuppression", "module_name_for", "rule_registry",
-    "BarrierSanitizer", "ReplicaDivergenceError", "SanitizerError",
-    "check_replicas", "freeze_array", "model_digest", "PARSE_RULE_ID",
-    "Violation",
-]
+import importlib
+from typing import Any
+
+#: Public name -> the submodule that defines it.  Resolved on first
+#: access (PEP 562), so importing the sanitizer — as every trainer and
+#: collective does — never loads the linter's call graph, rules, engine
+#: and reporters.
+_EXPORTS = {
+    "callgraph": ("CallGraph", "FunctionInfo", "SubmitSite",
+                  "module_name_for"),
+    "engine": ("AnalysisResult", "SourceFile", "collect_files",
+               "load_source", "parse_noqa", "run_analysis"),
+    "reporters": ("render_json", "render_sarif", "render_text"),
+    "rules": ("ALL_RULES", "AmbientNondeterminism", "CallGraphRule",
+              "ConfigReachability", "ImpureCostModel", "ProjectRule",
+              "Rule", "UnorderedIteration", "UnusedSuppression",
+              "rule_registry"),
+    "rules_race": ("SharedStateMutation", "UnpicklableTask"),
+    "sanitizer": ("BarrierSanitizer", "ReplicaDivergenceError",
+                  "SanitizerError", "check_replicas", "freeze_array",
+                  "model_digest"),
+    "violations": ("PARSE_RULE_ID", "Violation"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -850,8 +850,10 @@ def _print_netcheck(report: dict) -> None:
           f"{report['workload']['system']} on "
           f"{report['workload']['dataset']}, "
           f"{report['workload']['executors']} executors)")
-    print(f"measured wire: {measured['messages']} messages, "
-          f"{measured['bytes_on_wire']:,} bytes "
+    print(f"measured wire: {measured['task_messages']} frames carrying "
+          f"{measured['tasks']} tasks, "
+          f"{measured['messages'] - measured['task_messages']} install "
+          f"frames, {measured['bytes_on_wire']:,} bytes "
           f"({measured['install_bytes']:,} one-time install), "
           f"{measured['task_comm_seconds']:.4f}s comm / "
           f"{measured['compute_seconds']:.4f}s daemon compute")
@@ -861,8 +863,7 @@ def _print_netcheck(report: dict) -> None:
     ratio = report["ratio_measured_over_simulated"]
     if ratio is not None:
         print(f"measured / simulated comm seconds: {ratio:.4f} "
-              "(localhost TCP vs the paper's 1 Gbps fabric — expect "
-              "well under 1)")
+              "(localhost TCP vs the paper's 1 Gbps fabric)")
     fitted = report["fitted"]
     if fitted["ok"]:
         print(f"fitted localhost transport: "
@@ -873,12 +874,12 @@ def _print_netcheck(report: dict) -> None:
     else:
         print("fitted localhost transport: not identifiable from this "
               f"run — {fitted['reason']}")
-    rows = [[r["superstep"], r["messages"], f"{r['bytes']:,}",
+    rows = [[r["superstep"], r["messages"], r["tasks"], f"{r['bytes']:,}",
              f"{r['measured_comm_seconds']:.5f}",
              f"{r['simulated_seconds']:.5f}"]
             for r in report["per_superstep"]]
     print(format_table(
-        ["superstep", "messages", "bytes", "measured comm s",
+        ["superstep", "messages", "tasks", "bytes", "measured comm s",
          "simulated s"], rows,
         title="per-superstep wire accounting (superstep 0 = one-time "
               "partition install)"))

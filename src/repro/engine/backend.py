@@ -24,10 +24,14 @@ Python process.  An :class:`ExecutionBackend` owns that region:
   models cross process boundaries;
 * ``socket``    — long-lived worker daemons (:mod:`repro.engine.daemon`)
   speaking the length-prefixed frame protocol of
-  :mod:`repro.engine.wire` over localhost TCP.  Everything crosses a
-  real transport, so each superstep's bytes-on-wire and wall seconds are
-  *measured* — the backend's :meth:`~ExecutionBackend.wire_summary`
-  feeds ``repro perf --validate-network``, which compares them against
+  :mod:`repro.engine.wire` over localhost TCP.  Each superstep sends
+  every daemon **one** TASK frame holding all of its partitions' tasks,
+  so the broadcast model is pickled once per daemon per superstep, as
+  Spark ships a broadcast variable once per executor.  Everything
+  crosses a real transport, so each superstep's bytes-on-wire and wall
+  seconds are *measured* — the backend's
+  :meth:`~ExecutionBackend.wire_summary` feeds ``repro perf
+  --validate-network``, which compares them against
   :class:`~repro.cluster.network.NetworkModel`'s *simulated* seconds.
 
 Bit-identity is structural, not statistical: tasks are submitted and
@@ -39,10 +43,14 @@ system's ``TrainResult.history`` is bit-identical across all backends,
 and the golden convergence test pins the serial numbers.
 
 Task functions must be module-level (pickled by reference); see
-:mod:`repro.core.worker`.  Backends are context managers — ``with
-make_backend(...) as backend:`` guarantees pool teardown on any exit
-path — and every lifecycle violation raises :class:`RuntimeError`
-explicitly (never a bare ``assert``, which vanishes under ``python -O``).
+:mod:`repro.core.worker`.  The ``shm`` and ``socket`` machinery
+(:mod:`repro.engine.shm`, :mod:`repro.engine.wire`,
+:mod:`repro.engine.daemon`) is imported by those backends on
+construction, so serial runs never load it.  Backends are context
+managers — ``with make_backend(...) as backend:`` guarantees pool
+teardown on any exit path — and every lifecycle violation raises
+:class:`RuntimeError` explicitly (never a bare ``assert``, which
+vanishes under ``python -O``).
 """
 
 from __future__ import annotations
@@ -54,15 +62,15 @@ import socket as socketlib
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from ..perf.profiler import NullProfiler, PhaseProfiler
-from . import shm as shm_store
-from . import wire
-from .daemon import daemon_main
-from .shm import run_on_shm_partition
+
+if TYPE_CHECKING:
+    from . import shm as shm_store
+    from . import wire
 
 __all__ = ["BACKENDS", "ExecutionBackend", "SerialBackend",
            "ThreadBackend", "ProcessBackend", "ShmBackend",
@@ -333,12 +341,16 @@ class ShmBackend(_PoolBackend):
 
     def __init__(self, max_workers: int | None = None,
                  start_method: str | None = None) -> None:
+        from . import shm as shm_store
+
         super().__init__(max_workers)
         self._start_method = start_method
         self._store_id = shm_store.new_store_id()
         self._store: shm_store.ShmStore | None = None
 
     def install_partitions(self, partitions: Sequence[Any]) -> None:
+        from . import shm as shm_store
+
         self.close()
         parts = list(partitions)
         self._store = shm_store.build_store(parts)
@@ -416,11 +428,15 @@ class ShmBackend(_PoolBackend):
 
     def _submit(self, fn: Callable[..., Any], index: int,
                 args: tuple) -> Any:
+        from .shm import run_on_shm_partition
+
         pool = self._require_pool()
         return pool.submit(run_on_shm_partition, self._store_id, fn,
                            index, args)
 
     def close(self) -> None:
+        from . import shm as shm_store
+
         super().close()
         shm_store.discard_worker_state(self._store_id)
         if self._store is not None:
@@ -435,16 +451,20 @@ class SocketBackend(ExecutionBackend):
     daemon_main`) that dial back to the parent, cache their partition
     shards once, and serve TASK frames until shutdown.  Partition
     ``index`` is pinned to daemon ``index % n_daemons`` — the Spark
-    executor/cache locality model.  Every exchange's bytes and wall
+    executor/cache locality model.  A ``map_partitions`` call sends each
+    daemon one TASK frame holding all of its partitions' tasks; the frame
+    is one pickle, so an argument the tasks share (the broadcast model)
+    crosses the wire once per daemon.  Every exchange's bytes and wall
     seconds are recorded (:class:`repro.engine.wire.WireRecord`);
     :meth:`wire_summary` aggregates them for the measured-vs-simulated
     network validation.
 
     Concurrency: one lock per daemon enforces strict request/response on
     each connection (no interleaved frames, no send/recv deadlock) while
-    a small IO thread pool lets distinct daemons compute in parallel.
-    Futures are collected in partition-index order, preserving the
-    bit-identity contract.
+    an IO thread per daemon lets the daemons compute in parallel.
+    Results are put back in partition-index order, and a failure
+    surfaces as the lowest-index task's exception — what the serial loop
+    raises — preserving the bit-identity contract.
     """
 
     name = "socket"
@@ -454,6 +474,8 @@ class SocketBackend(ExecutionBackend):
 
     def __init__(self, max_workers: int | None = None,
                  start_method: str | None = None) -> None:
+        from . import wire
+
         super().__init__()
         self._max_workers = max_workers
         self._start_method = start_method
@@ -471,6 +493,9 @@ class SocketBackend(ExecutionBackend):
         return max(1, min(num_partitions, os.cpu_count() or 1))
 
     def install_partitions(self, partitions: Sequence[Any]) -> None:
+        from . import wire
+        from .daemon import daemon_main
+
         self.close()
         # Fresh accounting per run; close() keeps the old log readable so
         # the session can harvest it after teardown.
@@ -533,49 +558,75 @@ class SocketBackend(ExecutionBackend):
                 "before submitting work")
         return self._io
 
-    def _exchange_task(self, fn: Callable[..., Any], index: int,
-                       args: tuple, superstep: int) -> Any:
-        worker_id = self._assignment[index]
+    def _exchange(self, fn: Callable[..., Any], worker_id: int,
+                  batch: list[tuple[int, tuple]], superstep: int,
+                  ) -> tuple[list[Any], tuple[int, BaseException] | None]:
+        """One TASK frame carrying ``batch`` to daemon ``worker_id``.
+
+        Returns the results in batch order and ``None``, or no results
+        and ``(index, exc)`` for the first task that failed.  The reply
+        may take as long as the batch's tasks would have taken one frame
+        each, so the wait scales with the batch.
+        """
+        from . import wire
+
         with self._locks[worker_id]:
             kind, payload, exchange = self._channels[worker_id].request(
-                wire.TASK, (fn, index, args))
+                wire.TASK, (fn, batch),
+                timeout=wire.DEFAULT_TIMEOUT * len(batch))
         if kind == wire.ERROR:
-            raise payload
+            return [], payload
         if kind != wire.RESULT:
             raise RuntimeError(
                 f"worker daemon {worker_id} replied with frame kind "
                 f"{kind} to a task")
-        result, compute_in_daemon = payload
+        results, compute_in_daemon = payload
         self._log.add(wire.WireRecord(
             label="task", worker=worker_id, superstep=superstep,
             bytes_out=exchange.bytes_out, bytes_in=exchange.bytes_in,
             roundtrip_seconds=exchange.seconds,
-            compute_seconds=compute_in_daemon))
-        return result
+            compute_seconds=compute_in_daemon, tasks=len(batch)))
+        return results, None
+
+    def _dispatch(self, fn: Callable[..., Any],
+                  tasks: Sequence[tuple[int, tuple]]) -> list[Any]:
+        """Run ``tasks`` (``(index, args)`` pairs), one frame per daemon;
+        results come back in the order of ``tasks``."""
+        io = self._require_io()
+        self._round += 1
+        batches: dict[int, list[tuple[int, tuple]]] = {}
+        for index, args in tasks:
+            batches.setdefault(self._assignment[index], []).append(
+                (index, tuple(args)))
+        with self.profiler.phase("local_solve"):
+            futures = [io.submit(self._exchange, fn, worker_id, batch,
+                                 self._round)
+                       for worker_id, batch in batches.items()]
+            replies = [future.result() for future in futures]
+        failures = [failure for _results, failure in replies
+                    if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        by_index: dict[int, Any] = {}
+        for batch, (results, _failure) in zip(batches.values(), replies):
+            for (index, _args), result in zip(batch, results):
+                by_index[index] = result
+        return [by_index[index] for index, _args in tasks]
 
     def map_partitions(self, fn: Callable[..., Any],
                        args_by_worker: Sequence[tuple]) -> list[Any]:
-        io = self._require_io()
-        self._round += 1
-        superstep = self._round
-        with self.profiler.phase("local_solve"):
-            futures = [io.submit(self._exchange_task, fn, i, tuple(args),
-                                 superstep)
-                       for i, args in enumerate(args_by_worker)]
-            return [future.result() for future in futures]
+        return self._dispatch(fn, list(enumerate(args_by_worker)))
 
     def run_one(self, fn: Callable[..., Any], worker: int,
                 args: tuple) -> Any:
-        self._require_io()
-        self._round += 1
-        with self.profiler.phase("local_solve"):
-            return self._exchange_task(fn, worker, tuple(args),
-                                       self._round)
+        return self._dispatch(fn, [(worker, args)])[0]
 
     def wire_summary(self) -> dict[str, Any] | None:
         return self._log.summary()
 
     def close(self) -> None:
+        from . import wire
+
         if self._io is not None:
             self._io.shutdown(wait=True)
             self._io = None

@@ -6,8 +6,10 @@ partition shards once (INSTALL), then sits in a strict request/response
 loop executing TASK frames until SHUTDOWN.  This is the moral equivalent
 of a Spark executor: state (the cached partitions) lives with the
 worker across supersteps, and only models/gradients cross the wire.
+Each TASK frame carries the daemon's whole share of a superstep, so the
+broadcast model arrives once per daemon, not once per partition.
 
-The daemon times each task's execution (``compute_seconds``) and ships
+The daemon times each batch's execution (``compute_seconds``) and ships
 the timing inside the RESULT payload, so the parent can subtract compute
 from the measured round trip and attribute the remainder to the
 transport.  This file shares :mod:`repro.engine.wire`'s DET001 wall-clock
@@ -22,9 +24,11 @@ import socket
 import time
 from typing import Any
 
+import numpy as np
+
 from . import wire
 
-__all__ = ["daemon_main"]
+__all__ = ["daemon_main", "freeze_shared_arrays"]
 
 
 def _safe_exception(exc: BaseException) -> BaseException:
@@ -37,6 +41,35 @@ def _safe_exception(exc: BaseException) -> BaseException:
             f"task raised unpicklable {type(exc).__name__}: {exc!r}")
 
 
+def _arrays_in(value: Any):
+    """The ndarrays in ``value``, looking inside tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays_in(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays_in(item)
+
+
+def freeze_shared_arrays(batch: list[tuple[int, tuple]]) -> None:
+    """Mark read-only every ndarray that more than one task of ``batch``
+    shares.
+
+    The batch was unpickled from one frame, so an array the parent handed
+    to several tasks (the broadcast model) is one object here; a task
+    writing to it would silently change the input of every task after it.
+    The ``shm`` backend's read-only broadcast view gives the same
+    guarantee.
+    """
+    first_task: dict[int, int] = {}  # id(array) -> first task using it
+    for task, (_index, args) in enumerate(batch):
+        for array in _arrays_in(args):
+            if first_task.setdefault(id(array), task) != task:
+                array.setflags(write=False)
+
+
 def daemon_main(port: int, worker_id: int,
                 host: str = "127.0.0.1") -> None:
     """Entry point of one worker daemon process.
@@ -45,8 +78,11 @@ def daemon_main(port: int, worker_id: int,
 
     * connect, send ``HELLO worker_id``;
     * ``INSTALL {index: partition}`` → merge into the local cache, ACK;
-    * ``TASK (fn, index, args)`` → run ``fn(partitions[index], *args)``,
-      reply ``RESULT (result, compute_seconds)`` or ``ERROR exc``;
+    * ``TASK (fn, [(index, args), ...])`` → freeze the arrays the tasks
+      share, run ``fn(partitions[index], *args)`` for each task in
+      order, reply ``RESULT ([result, ...], compute_seconds)``; the
+      first task that raises stops the batch and is answered with
+      ``ERROR (index, exc)``;
     * ``SHUTDOWN`` → reply BYE and exit.
     """
     conn = socket.create_connection((host, port),
@@ -61,26 +97,30 @@ def daemon_main(port: int, worker_id: int,
                 partitions.update(payload)
                 channel.send(wire.ACK, len(partitions))
             elif kind == wire.TASK:
-                fn, index, args = payload
+                fn, batch = payload
+                freeze_shared_arrays(batch)
                 start = time.perf_counter()
+                results = []
+                index = -1
                 try:
-                    if index not in partitions:
-                        raise RuntimeError(
-                            f"partition {index} is not installed on "
-                            f"worker daemon {worker_id}")
-                    result = fn(partitions[index], *args)
+                    for index, args in batch:
+                        if index not in partitions:
+                            raise RuntimeError(
+                                f"partition {index} is not installed on "
+                                f"worker daemon {worker_id}")
+                        results.append(fn(partitions[index], *args))
                 except BaseException as exc:  # noqa: BLE001 - shipped back
-                    channel.send(wire.ERROR, _safe_exception(exc))
+                    channel.send(wire.ERROR, (index, _safe_exception(exc)))
                 else:
                     compute = time.perf_counter() - start
-                    channel.send(wire.RESULT, (result, compute))
+                    channel.send(wire.RESULT, (results, compute))
             elif kind == wire.SHUTDOWN:
                 channel.send(wire.BYE, worker_id)
                 return
             else:
-                channel.send(wire.ERROR, wire.RemoteTaskError(
+                channel.send(wire.ERROR, (-1, wire.RemoteTaskError(
                     f"unexpected frame kind {kind} on worker daemon "
-                    f"{worker_id}"))
+                    f"{worker_id}")))
     except (ConnectionError, EOFError, OSError):
         # Parent died or tore the wire down without SHUTDOWN; exit quietly
         # — the backend's close() path reaps us either way.

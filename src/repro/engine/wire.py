@@ -16,6 +16,15 @@ seconds are *measured*, so they can be compared against the simulated
 :class:`Exchange` records one request/response pair; trainers never see
 these — the backend aggregates them into a :func:`summarize` report
 after the run, keeping the simulated clock backend-invariant.
+
+A TASK frame carries one daemon's whole share of a superstep,
+``(fn, [(index, args), ...])``, pickled in one ``dumps`` call: pickle's
+memo writes an object the tasks share (the broadcast model, the
+objective, the config) once per frame, so the model crosses the wire
+once per daemon per superstep, as a Spark broadcast variable crosses
+once per executor.  The daemon answers with one RESULT frame,
+``(results, compute_seconds)``, or one ERROR frame, ``(index, exc)``,
+naming the first partition whose task raised.
 """
 
 from __future__ import annotations
@@ -65,7 +74,8 @@ class WireRecord:
     ``compute_seconds`` is the daemon-side task execution time (reported
     inside the RESULT payload); ``roundtrip_seconds - compute_seconds``
     is therefore the measured communication cost of the exchange —
-    serialization, TCP transit, and dispatch overhead.
+    serialization, TCP transit, and dispatch overhead.  ``tasks`` is the
+    number of partition tasks the exchange carried (0 for an install).
     """
 
     label: str
@@ -75,6 +85,7 @@ class WireRecord:
     bytes_in: int
     roundtrip_seconds: float
     compute_seconds: float = 0.0
+    tasks: int = 0
 
     @property
     def comm_seconds(self) -> float:
@@ -134,12 +145,24 @@ class FrameChannel:
             _HEADER.size + length
 
     # -- measured round trips ------------------------------------------
-    def request(self, kind: int, obj: Any) -> tuple[int, Any, Exchange]:
-        """Send a frame, await the response, measure the round trip."""
-        start = time.perf_counter()
-        bytes_out = self.send(kind, obj)
-        reply_kind, reply, bytes_in = self.recv()
-        elapsed = time.perf_counter() - start
+    def request(self, kind: int, obj: Any, timeout: float | None = None,
+                ) -> tuple[int, Any, Exchange]:
+        """Send a frame, await the response, measure the round trip.
+
+        ``timeout`` overrides the channel's bound on each blocking socket
+        operation for this exchange only (a batch of tasks waits longer
+        for its reply than a single task does).
+        """
+        previous = self._sock.gettimeout()
+        if timeout is not None:
+            self._sock.settimeout(timeout)
+        try:
+            start = time.perf_counter()
+            bytes_out = self.send(kind, obj)
+            reply_kind, reply, bytes_in = self.recv()
+            elapsed = time.perf_counter() - start
+        finally:
+            self._sock.settimeout(previous)
         return reply_kind, reply, Exchange(bytes_out=bytes_out,
                                            bytes_in=bytes_in,
                                            seconds=elapsed)
@@ -155,16 +178,18 @@ def summarize(records: list[WireRecord]) -> dict[str, Any]:
     """Aggregate wire records into the measured-transport report.
 
     Returns totals plus a per-superstep breakdown (superstep 0 holds the
-    one-time partition installation).  All numbers are *measured*, never
-    simulated.
+    one-time partition installation).  ``messages`` counts request/reply
+    exchanges and ``tasks`` the partition tasks they carried.  All
+    numbers are *measured*, never simulated.
     """
     supersteps: dict[int, dict[str, float]] = {}
     for rec in records:
         row = supersteps.setdefault(rec.superstep, {
-            "superstep": rec.superstep, "messages": 0, "bytes_out": 0,
-            "bytes_in": 0, "roundtrip_seconds": 0.0,
+            "superstep": rec.superstep, "messages": 0, "tasks": 0,
+            "bytes_out": 0, "bytes_in": 0, "roundtrip_seconds": 0.0,
             "compute_seconds": 0.0, "comm_seconds": 0.0})
         row["messages"] += 1
+        row["tasks"] += rec.tasks
         row["bytes_out"] += rec.bytes_out
         row["bytes_in"] += rec.bytes_in
         row["roundtrip_seconds"] += rec.roundtrip_seconds
@@ -173,6 +198,7 @@ def summarize(records: list[WireRecord]) -> dict[str, Any]:
     ordered = [supersteps[key] for key in sorted(supersteps)]
     return {
         "messages": len(records),
+        "tasks": sum(r.tasks for r in records),
         "bytes_out": sum(r.bytes_out for r in records),
         "bytes_in": sum(r.bytes_in for r in records),
         "roundtrip_seconds": sum(r.roundtrip_seconds for r in records),

@@ -135,6 +135,7 @@ def simulate_wire_log(wire_stats: dict[str, Any],
         per_superstep.append({
             "superstep": row["superstep"],
             "messages": messages,
+            "tasks": row["tasks"],
             "bytes": row["bytes_out"] + row["bytes_in"],
             "simulated_seconds": seconds,
             "measured_comm_seconds": row["comm_seconds"],
@@ -229,6 +230,8 @@ def validate_network(rows: int = 400, features: int = 48,
         },
         "measured": {
             "messages": wire_stats["messages"],
+            "task_messages": sum(r["messages"] for r in task_rows),
+            "tasks": wire_stats["tasks"],
             "bytes_on_wire": (wire_stats["bytes_out"]
                               + wire_stats["bytes_in"]),
             "install_bytes": wire_stats["install_bytes"],

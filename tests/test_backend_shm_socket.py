@@ -11,6 +11,9 @@ Regression coverage for the real-executor work:
   ``spawn`` (initializer-shipped state instead of inherited state);
 * :mod:`repro.engine.shm` internals (read-only views, broadcast arena,
   segment lifecycle) and the :mod:`repro.engine.wire` frame protocol;
+* the socket backend's **one TASK frame per daemon per call**: frame
+  and task counts, broadcast bytes, read-only shared arrays, failures
+  in partition order, and a reply wait that scales with the batch;
 * the measured-vs-simulated plumbing: ``trainer.last_wire_stats``
   harvest and :mod:`repro.perf.netcheck`.
 """
@@ -19,18 +22,23 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing as mp
+import pickle
 import socket as socketlib
 import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from data.make_golden import SYSTEMS, golden_workload
+import repro.core.trainer
+from repro.cluster import cluster1
 from repro.core import MLlibStarTrainer
-from repro.data import Partition
+from repro.data import Partition, SyntheticSpec, generate
 from repro.engine import shm as shm_store
 from repro.engine import wire
+from repro.engine.daemon import freeze_shared_arrays
 from repro.engine.backend import (ProcessBackend, SerialBackend, ShmBackend,
                                   SocketBackend, ThreadBackend, make_backend)
 from repro.engine.shm import BroadcastRef, build_store, run_on_shm_partition
@@ -83,6 +91,27 @@ def _partitions(k: int = 3) -> list[Partition]:
 def _probe_broadcast_task(part, w) -> tuple[bool, float]:
     """Report whether the model arg arrived as a read-only view."""
     return (not w.flags.writeable, float(w.sum()))
+
+
+def _write_broadcast_task(part, w) -> float:
+    """Violates the task contract: writes through its broadcast model."""
+    w[0] = float(part.index)
+    return float(w.sum())
+
+
+def _index_task(part, offset: float) -> float:
+    return part.index + offset
+
+
+def _fail_on_task(part, bad: tuple) -> int:
+    if part.index in bad:
+        raise ValueError(f"boom on partition {part.index}")
+    return part.index
+
+
+def _sleep_task(part, seconds: float) -> int:
+    time.sleep(seconds)
+    return part.index
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +361,105 @@ class TestShmBackendBroadcast:
 
 
 # ----------------------------------------------------------------------
+# socket backend: one TASK frame per daemon per call
+# ----------------------------------------------------------------------
+class TestSocketBatching:
+    def test_one_task_frame_per_daemon_per_call(self):
+        with SocketBackend(max_workers=2) as backend:
+            backend.install_partitions(_partitions(5))
+            for _ in range(3):
+                got = backend.map_partitions(
+                    _index_task, [(float(i),) for i in range(5)])
+                assert got == [0.0, 2.0, 4.0, 6.0, 8.0]
+            assert backend.run_one(_index_task, 3, (1.0,)) == 4.0
+            summary = backend.wire_summary()
+        rows = summary["per_superstep"]
+        assert [(r["messages"], r["tasks"]) for r in rows] \
+            == [(2, 0), (2, 5), (2, 5), (2, 5), (1, 1)]
+        assert (summary["messages"], summary["tasks"]) == (9, 16)
+
+    def test_socket_fit_sends_one_frame_per_daemon_per_superstep(
+            self, monkeypatch):
+        # A wide model, so the broadcast dominates each frame.
+        dataset = generate(SyntheticSpec(n_rows=400, n_features=4096,
+                                         nnz_per_row=8.0, seed=17),
+                           name="wide")
+        k, daemons, steps = 4, 2, 3
+        config = dataclasses.replace(golden_workload()[2], max_steps=steps,
+                                     backend="socket")
+        monkeypatch.setattr(repro.core.trainer, "make_backend",
+                            lambda name: SocketBackend(max_workers=daemons))
+        trainer = MLlibStarTrainer(Objective("hinge", "l2", 0.1),
+                                   cluster1(executors=k), config)
+        result = trainer.fit(dataset)
+        stats = trainer.last_wire_stats
+        assert stats["messages"] == daemons * steps + daemons
+        assert stats["tasks"] == k * steps
+        install, *supersteps = stats["per_superstep"]
+        assert (install["messages"], install["tasks"]) == (daemons, 0)
+        assert len(supersteps) == steps
+        model_bytes = len(pickle.dumps(result.model.weights,
+                                       protocol=pickle.HIGHEST_PROTOCOL))
+        for row in supersteps:
+            assert (row["messages"], row["tasks"]) == (daemons, k)
+            # Pickled once per daemon, not once per partition.
+            assert row["bytes_out"] < k * model_bytes
+
+    @pytest.mark.parametrize("backend_name", ["socket", "shm"])
+    def test_writing_the_broadcast_raises_and_the_pool_recovers(
+            self, backend_name):
+        backend_cls = {"socket": SocketBackend, "shm": ShmBackend}
+        with backend_cls[backend_name](max_workers=2) as backend:
+            backend.install_partitions(_partitions(4))
+            w = np.linspace(-1.0, 1.0, 6)
+            with pytest.raises(ValueError, match="read-only"):
+                backend.map_partitions(_write_broadcast_task, [(w,)] * 4)
+            got = backend.map_partitions(_probe_broadcast_task, [(w,)] * 4)
+        assert all(readonly for readonly, _ in got)
+        assert [total for _, total in got] \
+            == [pytest.approx(float(w.sum()))] * 4
+
+    def test_freeze_shared_arrays_spares_per_task_arrays(self):
+        w = np.zeros(3)
+        nested = np.ones(2)
+        own = [np.zeros(2), np.zeros(2)]
+        batch = [(0, (w, own[0], {"v": (nested,)})),
+                 (1, (w, own[1], [nested]))]
+        freeze_shared_arrays(batch)
+        assert not w.flags.writeable and not nested.flags.writeable
+        assert all(arr.flags.writeable for arr in own)
+        single = np.zeros(3)
+        freeze_shared_arrays([(0, (single, single))])
+        assert single.flags.writeable
+
+    def test_lowest_failing_partition_is_raised(self):
+        bad = (1, 2)  # daemon 0 fails on partition 2, daemon 1 on 1
+        with pytest.raises(ValueError, match="partition 1"):
+            with SerialBackend() as serial:
+                serial.install_partitions(_partitions(4))
+                serial.map_partitions(_fail_on_task, [(bad,)] * 4)
+        with SocketBackend(max_workers=2) as backend:
+            backend.install_partitions(_partitions(4))
+            with pytest.raises(ValueError, match="partition 1"):
+                backend.map_partitions(_fail_on_task, [(bad,)] * 4)
+            # The daemons stopped their batches and serve the next call.
+            assert backend.map_partitions(_fail_on_task, [((),)] * 4) \
+                == [0, 1, 2, 3]
+
+    def test_reply_wait_scales_with_the_batch(self, monkeypatch):
+        with SocketBackend(max_workers=1) as backend:
+            backend.install_partitions(_partitions(3))
+            monkeypatch.setattr(wire, "DEFAULT_TIMEOUT", 0.5)
+            # Each task fits the per-task bound; the batch of three,
+            # one frame to the one daemon, does not — and must not fail.
+            assert backend.map_partitions(_sleep_task, [(0.3,)] * 3) \
+                == [0, 1, 2]
+            # The bound is still enforced per task.
+            with pytest.raises(TimeoutError):
+                backend.run_one(_sleep_task, 0, (1.0,))
+
+
+# ----------------------------------------------------------------------
 # wire protocol
 # ----------------------------------------------------------------------
 class TestWireProtocol:
@@ -390,13 +518,17 @@ class TestWireProtocol:
             wire.WireRecord("task", 1, 1, 30, 20, 0.3,
                             compute_seconds=0.4),
         ]
+        records[1:] = [dataclasses.replace(rec, tasks=3)
+                       for rec in records[1:]]
         summary = wire.summarize(records)
         assert summary["messages"] == 3
+        assert summary["tasks"] == 6
         assert summary["bytes_out"] == 160
         assert summary["install_bytes"] == 110
         rows = summary["per_superstep"]
         assert [row["superstep"] for row in rows] == [0, 1]
-        assert rows[1]["messages"] == 2
+        assert (rows[0]["tasks"], rows[1]["messages"], rows[1]["tasks"]) \
+            == (0, 2, 6)
         # comm = roundtrip - compute, floored at zero per record.
         assert rows[1]["comm_seconds"] == pytest.approx(0.05)
 
@@ -470,7 +602,12 @@ class TestNetcheck:
         report = validate_network(rows=120, features=24, executors=2,
                                   steps=2, seed=3)
         assert report["bit_identical"] is True
-        assert report["measured"]["messages"] > 0
+        # Two daemons at most, one install each, one frame per daemon
+        # per superstep; every superstep carries all the partitions.
+        measured = report["measured"]
+        assert measured["tasks"] == 2 * 2
+        assert measured["messages"] == 3 * measured["task_messages"] // 2
+        assert [r["tasks"] for r in report["per_superstep"]] == [0, 2, 2]
         assert report["measured"]["bytes_on_wire"] \
             > report["measured"]["install_bytes"] > 0
         assert report["simulated"]["seconds"] > 0.0

@@ -1,9 +1,14 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import SYSTEMS, build_parser, main
 
 
@@ -15,6 +20,21 @@ def libsvm_file(tmp_path):
     path = tmp_path / "data.libsvm"
     write_libsvm(ds, path)
     return path
+
+
+def test_cli_import_loads_neither_the_linter_nor_the_transports():
+    """Serial runs never compile the analysis rules or the shm/socket
+    machinery; a fresh interpreter shows what ``import repro.cli``
+    really loads."""
+    probe = ("import sys, repro.cli; print(sorted(m for m in ("
+             "'repro.analysis.rules', 'repro.analysis.engine', "
+             "'repro.engine.shm', 'repro.engine.wire', "
+             "'repro.engine.daemon') if m in sys.modules))")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestParser:
